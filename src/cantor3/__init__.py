@@ -21,7 +21,6 @@ from .families import (
     N_eigenvector,
     Y_graph,
     check_L_bounds,
-    check_th413_equality,
     expect_L,
     expect_N,
 )
@@ -29,7 +28,6 @@ from .checks import CheckResult, run_check, run_suite
 from .langops import ComparisonResult, is_equal, is_subset, pointed_isomorphic
 from .oracle import admissible_word, brute_count, brute_count_extendable, dim_estimate
 from .spectral import (
-    AdjacencyMatrix,
     CharPoly,
     DimensionResult,
     SccDecomposition,
@@ -39,14 +37,12 @@ from .spectral import (
     hausdorff_dim,
     largest_real_root,
     scc,
-    spectral_radius,
 )
 from .ternary import (
     FamilyId,
     Multiplier,
     family_value,
     from_ternary,
-    lowest_nonzero_digit,
     normalize,
     parse_multiplier,
     parse_multiplier_list,

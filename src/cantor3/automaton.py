@@ -61,16 +61,6 @@ class PointedLabeledGraph:
     def n(self) -> int:
         return len(self.vertices)
 
-    def out_degree(self, v: int) -> int:
-        deg = 0
-        for s, _, _ in self.edges:
-            if s == v:
-                deg += 1
-        return deg
-
-    def out_labels(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self.out[v]))
-
     def reachable_set(self) -> set[int]:
         seen = {self.start}
         queue = deque([self.start])
@@ -103,6 +93,19 @@ class ValidationReport:
     def all_ok(self) -> bool:
         return (self.right_resolving and self.reachable and self.essential
                 and self.vertex_bound_ok)
+
+    def require(self, side: str) -> None:
+        """Raise ValueError naming `side` and each failed presentation property.
+
+        Dimensions and language comparisons hold only for right-resolving,
+        essential (no sinks) and reachable graphs.
+        """
+        failed = [name for name, ok in (("right-resolving", self.right_resolving),
+                                        ("essential", self.essential),
+                                        ("reachable", self.reachable)) if not ok]
+        if failed:
+            hint = "" if self.essential and self.reachable else "; apply trim_essential first"
+            raise ValueError(f"{side} is not {' and '.join(failed)}{hint}")
 
 
 def _as_multiplier(m) -> Multiplier:
@@ -349,11 +352,6 @@ def count_paths(g: PointedLabeledGraph, n: int) -> int:
 
 def validate(g: PointedLabeledGraph, ms=None) -> ValidationReport:
     """Structural report; the vertex bound is checked when multipliers are given."""
-    outdeg = [0] * g.n
-    for s, _, _ in g.edges:
-        outdeg[s] += 1
-    essential = all(d >= 1 for d in outdeg)
-    reachable = len(g.reachable_set()) == g.n
     if ms is None:
         bound_ok = True
     else:
@@ -361,8 +359,8 @@ def validate(g: PointedLabeledGraph, ms=None) -> ValidationReport:
         bound_ok = g.n <= bound
     return ValidationReport(
         right_resolving=g.right_resolving,
-        reachable=reachable,
-        essential=essential,
+        reachable=len(g.reachable_set()) == g.n,
+        essential=all(g.out),
         vertex_count=g.n,
         edge_count=len(g.edges),
         vertex_bound_ok=bound_ok,

@@ -21,6 +21,8 @@ import random
 from dataclasses import dataclass
 from time import perf_counter
 
+import numpy as np
+
 from .automaton import build_multi, build_single, count_paths, vertex_name
 from .families import (
     N_eigenvector,
@@ -170,13 +172,9 @@ def check_family_N_phi() -> CheckResult:
         g = build_single(family_value(FamilyId("N", k)))
         r = hausdorff_dim(g)
         comps = scc(g)
-        v = N_eigenvector(k)
-        a = adjacency(g)
-        w = [0.0] * a.n
-        for (i, j), c in a.entries.items():
-            w[i] += c * v[j]
-        resid = max(abs(w[i] - PHI * v[i]) for i in range(a.n))
-        scale = max(abs(x) for x in v)
+        v = np.array(N_eigenvector(k))
+        resid = float(np.abs(adjacency(g) @ v - PHI * v).max())
+        scale = float(np.abs(v).max())
         if (
             g.n != 2**k
             or len(comps.components) != 1

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from time import perf_counter
@@ -109,8 +110,10 @@ def cmd_scan(args) -> int:
         (label, tuple(m.value for m in ms), args.max_vertices)
         for ms, label in _expand_scan_specs(args.specs)
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool forks every worker up front, so never ask for more than can run
+    jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_scan_row, tasks))
     else:
         rows = [_scan_row(t) for t in tasks]

@@ -10,11 +10,10 @@ generable and computable but carries no closed form here.
 import math
 from dataclasses import dataclass
 
-from .automaton import PointedLabeledGraph, build_multi, build_single
+from .automaton import PointedLabeledGraph
 from .errors import RefusalError
-from .langops import ComparisonResult
-from .spectral import hausdorff_dim, largest_real_root, log3
-from .ternary import FamilyId, family_value, normalize
+from .spectral import largest_real_root, log3
+from .ternary import FamilyId
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 N_CAP = 20  # N_k presentations have 2^k vertices
@@ -92,12 +91,3 @@ def Y_graph() -> PointedLabeledGraph:
                                [(0, 1, 0), (0, 1, 1), (1, 0, 0)],
                                0, provenance="Y")
 
-
-def check_th413_equality(n: int, tol: float = 1e-6) -> ComparisonResult:
-    """Intersecting over N_1..N_n matches the single multiplier L_{n+1} in dimension."""
-    if not 1 <= n <= 5:
-        raise ValueError(f"checked for 1 <= n <= 5 only, got {n}")
-    ms = [family_value(FamilyId("N", j)) for j in range(1, n + 1)]
-    d_nested = hausdorff_dim(build_multi(ms)).dim
-    d_single = hausdorff_dim(build_single(normalize(family_value(FamilyId("L", n + 1))))).dim
-    return ComparisonResult(abs(d_nested - d_single) <= tol, None)

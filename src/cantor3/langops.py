@@ -10,7 +10,7 @@ either side the reduction is unsound, so untrimmed inputs are rejected.
 from collections import deque
 from dataclasses import dataclass
 
-from .automaton import PointedLabeledGraph
+from .automaton import PointedLabeledGraph, validate
 
 
 @dataclass(frozen=True)
@@ -22,16 +22,6 @@ class ComparisonResult:
         return self.holds
 
 
-def _require_comparable(g: PointedLabeledGraph, side: str):
-    if not g.right_resolving:
-        raise ValueError(f"{side} graph must be right-resolving")
-    for v in range(g.n):
-        if not g.out[v]:
-            raise ValueError(f"{side} graph has a sink (vertex {v}); trim_essential first")
-    if len(g.reachable_set()) != g.n:
-        raise ValueError(f"{side} graph has unreachable vertices")
-
-
 def is_subset(g1: PointedLabeledGraph, g2: PointedLabeledGraph) -> ComparisonResult:
     """Does every word readable in g1 from its start occur in g2?
 
@@ -39,8 +29,8 @@ def is_subset(g1: PointedLabeledGraph, g2: PointedLabeledGraph) -> ComparisonRes
     must be an out-label of u2. Breadth-first order makes the first failure
     a shortest witness.
     """
-    _require_comparable(g1, "left")
-    _require_comparable(g2, "right")
+    validate(g1).require("left graph")
+    validate(g2).require("right graph")
     start = (g1.start, g2.start)
     parent: dict = {start: None}
     queue = deque([start])
@@ -79,8 +69,8 @@ def pointed_isomorphic(g1: PointedLabeledGraph, g2: PointedLabeledGraph) -> bool
     edge from the start pair, so one pass checks both consistency and
     bijectivity. Carry labels play no part: they are construction artifacts.
     """
-    _require_comparable(g1, "left")
-    _require_comparable(g2, "right")
+    validate(g1).require("left graph")
+    validate(g2).require("right graph")
     if g1.n != g2.n:
         return False
     mapping = {g1.start: g2.start}

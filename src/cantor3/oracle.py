@@ -50,19 +50,27 @@ def admissible_word(ms, word) -> bool:
     return True
 
 
-def brute_count(ms, n: int, limit: int = DEFAULT_LIMIT) -> int:
-    """Count admissible words in {0,1}^n by pruned depth-first enumeration."""
+def _checked(ms, n: int, limit: int) -> tuple[int, ...]:
     if n < 0:
         raise ValueError(f"word length must be nonnegative, got {n}")
     if n > limit:
         raise RefusalError(f"brute-force count limited to n <= {limit}, got {n}")
-    values = _values(ms)
+    return _values(ms)
+
+
+def _count(values, n: int, accept=None) -> int:
+    """Admissible words in {0,1}^n by pruned depth-first enumeration.
+
+    With accept given, only the words x (read to depth n, p3 = 3^n) for
+    which accept(x, p3) holds are counted.
+    """
     count = 0
 
     def rec(pos: int, x: int, p3: int):
         nonlocal count
         if pos == n:
-            count += 1
+            if accept is None or accept(x, p3):
+                count += 1
             return
         for b in (0, 1):
             x2 = x + b * p3
@@ -74,6 +82,11 @@ def brute_count(ms, n: int, limit: int = DEFAULT_LIMIT) -> int:
     return count
 
 
+def brute_count(ms, n: int, limit: int = DEFAULT_LIMIT) -> int:
+    """Count admissible words in {0,1}^n by pruned depth-first enumeration."""
+    return _count(_checked(ms, n, limit), n)
+
+
 def brute_count_extendable(ms, n: int, limit: int = DEFAULT_LIMIT) -> int:
     """Count admissible length-n words with a guaranteed infinite continuation.
 
@@ -83,11 +96,7 @@ def brute_count_extendable(ms, n: int, limit: int = DEFAULT_LIMIT) -> int:
     therefore loop forever. The limit applies to n; the extension search is
     a depth-first probe with early exit at depth n + V.
     """
-    if n < 0:
-        raise ValueError(f"word length must be nonnegative, got {n}")
-    if n > limit:
-        raise RefusalError(f"brute-force count limited to n <= {limit}, got {n}")
-    values = _values(ms)
+    values = _checked(ms, n, limit)
     V = math.prod(1 + M // 2 for M in values)
     target = n + V
 
@@ -105,21 +114,7 @@ def brute_count_extendable(ms, n: int, limit: int = DEFAULT_LIMIT) -> int:
                 stack.append((pos + 1, x2, p3 * 3, 0))
         return False
 
-    count = 0
-
-    def rec(pos: int, x: int, p3: int):
-        nonlocal count
-        if pos == n:
-            if extendable(x, p3):
-                count += 1
-            return
-        for b in (0, 1):
-            x2 = x + b * p3
-            if all((M * x2 // p3) % 3 <= 1 for M in values):
-                rec(pos + 1, x2, p3 * 3)
-
-    rec(0, 0, 1)
-    return count
+    return _count(values, n, extendable)
 
 
 def first_return_counts(ms, max_len: int) -> tuple[int, ...]:

@@ -2,11 +2,13 @@
 
 The Hausdorff dimension of the fractal presented by a pointed graph is
 log_3 of the spectral radius of the adjacency matrix, and the radius is the
-maximum over strongly connected components. Components that are bare cycles
-(or edgeless, or a lone vertex with loops) are handled exactly; everything
-else goes through power iteration on the shifted matrix A + I, which is
-primitive whenever A is irreducible, with Collatz-Wielandt quotients giving
-a certified two-sided enclosure at every step.
+maximum over strongly connected components. Everything here reads the
+graph's edge list directly. Components that are bare cycles (or a lone
+vertex, with or without loops) are handled exactly; everything else goes
+through power iteration on the shifted matrix A + I, which is primitive
+whenever A is irreducible. Its Collatz-Wielandt quotients bracket the root
+from both sides at every step, but they are computed in floating point, so
+the bracket is an estimate that rounding can break, not a proof.
 """
 
 import math
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .automaton import PointedLabeledGraph
+from .automaton import PointedLabeledGraph, validate
 from .errors import RefusalError
 
 LOG3 = math.log(3.0)
@@ -27,51 +29,27 @@ def log3(x: float) -> float:
     return math.log(x) / LOG3
 
 
-class AdjacencyMatrix:
-    """Sparse nonnegative integer matrix; entries[(i,j)] counts edges i -> j."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, n: int, entries: dict):
-        self.n = n
-        self.entries = dict(entries)
-        for (i, j), c in self.entries.items():
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"entry ({i},{j}) outside a {n}x{n} matrix")
-            if c < 0:
-                raise ValueError(f"negative multiplicity at ({i},{j})")
-
-    def row_sums(self) -> list[int]:
-        sums = [0] * self.n
-        for (i, _), c in self.entries.items():
-            sums[i] += c
-        return sums
-
-    def to_dense(self) -> list[list[int]]:
-        dense = [[0] * self.n for _ in range(self.n)]
-        for (i, j), c in self.entries.items():
-            dense[i][j] = c
-        return dense
-
-    def __repr__(self):
-        return f"AdjacencyMatrix({self.n}x{self.n}, {len(self.entries)} nonzero)"
-
-
 @dataclass(frozen=True)
 class SccDecomposition:
-    """components in discovery order (reverse topological); condensation_order
-    lists component indices in topological order of the condensation DAG."""
+    """Strongly connected components in discovery order, which is reverse
+    topological order of the condensation DAG."""
 
     components: tuple[frozenset[int], ...]
-    condensation_order: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class DimensionResult:
+    """beta and dim = log_3 beta, with the half-width of the bracket found.
+
+    For power_iteration the bracket is the floating-point Collatz-Wielandt
+    one, for char_poly_root the exact rational bracket, and exact_trivial
+    results have none.
+    """
+
     beta: float
     dim: float
     method: str  # power_iteration | char_poly_root | exact_trivial
-    error_bound: float  # certified bound on |dim - true dim|
+    error_bound: float  # bound on |dim - true dim| from the bracket
     dominant_component: frozenset[int]
     beta_error: float = 0.0
 
@@ -112,12 +90,20 @@ class CharPoly:
         return " ".join(terms) if terms else "0"
 
 
-def adjacency(g: PointedLabeledGraph) -> AdjacencyMatrix:
-    """Edge multiplicity counts in the graph's own vertex order."""
-    entries = {}
+def adjacency(g: PointedLabeledGraph) -> csr_matrix:
+    """Edge multiplicities as an int64 sparse matrix in the graph's own vertex order."""
+    rows = [s for s, _, _ in g.edges]
+    cols = [d for _, d, _ in g.edges]
+    ones = np.ones(len(rows), dtype=np.int64)
+    return csr_matrix((ones, (rows, cols)), shape=(g.n, g.n))  # duplicates are summed
+
+
+def _successors(g: PointedLabeledGraph) -> list[list[int]]:
+    """Destinations per vertex in edge order; the first of each (s, d) fixes DFS order."""
+    succ = [[] for _ in range(g.n)]
     for s, d, _ in g.edges:
-        entries[(s, d)] = entries.get((s, d), 0) + 1
-    return AdjacencyMatrix(g.n, entries)
+        succ[s].append(d)
+    return succ
 
 
 def _tarjan(succ: list[list[int]]) -> list[list[int]]:
@@ -170,40 +156,22 @@ def _tarjan(succ: list[list[int]]) -> list[list[int]]:
     return comps
 
 
-def _succ_from_entries(n: int, entries: dict) -> list[list[int]]:
-    succ = [[] for _ in range(n)]
-    for (i, j) in entries:
-        succ[i].append(j)
-    return succ
-
-
 def scc(g: PointedLabeledGraph) -> SccDecomposition:
-    """Strongly connected components with the condensation's topological order."""
-    comps = _tarjan(_succ_from_entries(g.n, adjacency(g).entries))
-    components = tuple(frozenset(c) for c in comps)
-    order = tuple(reversed(range(len(components))))
-    return SccDecomposition(components=components, condensation_order=order)
+    """Strongly connected components in reverse topological order."""
+    return SccDecomposition(components=tuple(frozenset(c) for c in _tarjan(_successors(g))))
 
 
-def _power_iteration(entries: dict, verts: list[int], tol: float):
-    """Certified Perron radius of one irreducible component.
+def _power_iteration(edges: list, k: int, tol: float):
+    """Perron radius of one irreducible component and its bracket half-width.
 
+    edges holds (i, j) pairs in the component's local indices 0..k-1.
     Iterates v -> (A+I)v. The quotients ((A+I)v)_i / v_i enclose the Perron
     root of A+I from both sides for positive v, and for a primitive matrix
     they converge; subtracting the shift undoes A -> A+I.
     """
-    k = len(verts)
-    pos = {v: i for i, v in enumerate(verts)}
-    rows, cols, data = [], [], []
-    for (i, j), c in entries.items():
-        rows.append(pos[i])
-        cols.append(pos[j])
-        data.append(float(c))
-    for i in range(k):
-        rows.append(i)
-        cols.append(i)
-        data.append(1.0)
-    B = csr_matrix((data, (rows, cols)), shape=(k, k))  # duplicates are summed
+    rows = [i for i, _ in edges] + list(range(k))
+    cols = [j for _, j in edges] + list(range(k))
+    B = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(k, k))  # duplicates are summed
     v = np.ones(k)
     for _ in range(_MAX_POWER_ITERATIONS):
         w = B.dot(v)
@@ -217,62 +185,56 @@ def _power_iteration(entries: dict, verts: list[int], tol: float):
         f"power iteration did not reach gap {tol} within {_MAX_POWER_ITERATIONS} steps")
 
 
-def _spectral_full(a: AdjacencyMatrix, tol: float):
+def _spectral_full(g: PointedLabeledGraph, tol: float):
     """(beta, beta_error, dominant vertex set, method) over all components."""
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    comps = _tarjan(_succ_from_entries(a.n, a.entries))
+    comps = _tarjan(_successors(g))
+    comp_of = [0] * g.n
+    local = [0] * g.n
+    for c, comp in enumerate(comps):
+        for i, v in enumerate(comp):
+            comp_of[v] = c
+            local[v] = i
+    inner = [[] for _ in comps]  # each component's edges, in local indices
+    for s, d, _ in g.edges:
+        c = comp_of[s]
+        if c == comp_of[d]:
+            inner[c].append((local[s], local[d]))
     best_beta = 0.0
     best_err = 0.0
     best_comp: tuple = ()
     best_exact = True
-    for comp in comps:
-        members = set(comp)
-        sub = {(i, j): c for (i, j), c in a.entries.items()
-               if i in members and j in members}
+    for comp, edges in zip(comps, inner):
         if len(comp) == 1:
-            v = comp[0]
-            loops = sub.get((v, v), 0)
-            beta_c, err_c, exact = float(loops), 0.0, True
+            # every inner edge of a lone vertex is a loop
+            beta_c, err_c, exact = float(len(edges)), 0.0, True
+        elif len(edges) == len(comp):
+            # strongly connected with one out-edge per vertex: a bare cycle, radius 1
+            beta_c, err_c, exact = 1.0, 0.0, True
         else:
-            intra = sum(sub.values())
-            if intra == len(comp) and all(c == 1 for c in sub.values()):
-                # a bare cycle: radius exactly 1
-                beta_c, err_c, exact = 1.0, 0.0, True
-            else:
-                beta_c, err_c = _power_iteration(sub, comp, tol)
-                exact = False
+            beta_c, err_c = _power_iteration(edges, len(comp), tol)
+            exact = False
         if beta_c > best_beta:
             best_beta, best_err, best_comp, best_exact = beta_c, err_c, comp, exact
     method = "exact_trivial" if best_exact else "power_iteration"
     return best_beta, best_err, tuple(best_comp), method
 
 
-def spectral_radius(a: AdjacencyMatrix, tol: float = 1e-9) -> tuple[float, float]:
-    """(beta, error_bound): Perron radius of a nonnegative integer matrix.
-
-    Maximum over strongly connected components; edgeless components give 0,
-    bare cycles give exactly 1, everything else is certified by the
-    Collatz-Wielandt enclosure from power iteration.
-    """
-    beta, err, _, _ = _spectral_full(a, tol)
-    return beta, err
-
-
-def char_poly(a: AdjacencyMatrix, limit: int = CHAR_POLY_LIMIT) -> CharPoly:
+def char_poly(a: csr_matrix, limit: int = CHAR_POLY_LIMIT) -> CharPoly:
     """Exact characteristic polynomial by the Faddeev-LeVerrier recurrence.
 
     Integer arithmetic throughout; the division by the step index is exact.
     Refused above `limit` (default 64): the recurrence is cubic per step and
     this is a verification aid, never the dimension path.
     """
-    n = a.n
+    n = a.shape[0]
     if n > limit:
         raise RefusalError(
             f"characteristic polynomial limited to {limit}x{limit}, got {n}x{n}")
     if n == 0:
         return CharPoly((1,))
-    A = a.to_dense()
+    A = a.toarray().tolist()  # exact Python ints
     cs = [1]  # descending: coefficient of x^n first
     M = [row[:] for row in A]
     for k in range(1, n + 1):
@@ -299,14 +261,7 @@ def largest_real_root(p, lo: float, hi: float, tol: float = 1e-12) -> float:
     the polynomials used here), the sign-change bracket converges to the
     largest root in the interval.
     """
-    coeffs = p.coefficients if isinstance(p, CharPoly) else tuple(p)
-
-    def ev(x: float) -> float:
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
+    ev = p if isinstance(p, CharPoly) else CharPoly(tuple(p))
     flo, fhi = ev(lo), ev(hi)
     if flo == 0.0 and fhi == 0.0:
         return hi
@@ -330,16 +285,8 @@ def hausdorff_dim(g: PointedLabeledGraph, tol: float = 1e-9) -> DimensionResult:
     Requires an essential, reachable, right-resolving presentation (trim
     first); on anything else the dimension formula does not apply.
     """
-    if not g.right_resolving:
-        raise ValueError("dimension needs a right-resolving presentation")
-    outdeg = [0] * g.n
-    for s, _, _ in g.edges:
-        outdeg[s] += 1
-    if any(d == 0 for d in outdeg):
-        raise ValueError("presentation has sinks; apply trim_essential first")
-    if len(g.reachable_set()) != g.n:
-        raise ValueError("presentation has unreachable vertices")
-    beta, err, comp, method = _spectral_full(adjacency(g), tol)
+    validate(g).require("presentation")
+    beta, err, comp, method = _spectral_full(g, tol)
     assert beta >= 1.0 - 1e-12, "an essential graph contains a cycle"
     dim = log3(beta)
     dim_err = err / ((beta - err) * LOG3) if err else 0.0

@@ -71,15 +71,6 @@ def normalize(m: int) -> Multiplier:
                       normalized_from=original)
 
 
-def lowest_nonzero_digit(m: int) -> int:
-    """Lowest-order nonzero base-3 digit of m, always 1 or 2."""
-    if m < 1:
-        raise ValueError(f"expected a positive integer, got {m}")
-    while m % 3 == 0:
-        m //= 3
-    return m % 3
-
-
 @dataclass(frozen=True)
 class FamilyId:
     """One member of the L, N, or P family of multipliers."""

@@ -174,3 +174,38 @@ def test_check_oracle_suite(capsys):
     code, out, _ = run(capsys, "check", "oracle")
     assert code == 0
     assert "PASS oracle-agreement" in out
+
+
+def test_scan_jobs_clamped_to_cpus_and_tasks(monkeypatch, capsys):
+    import cantor3.cli as cli
+
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for the process pool; runs the rows in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    _, serial, _ = run(capsys, "scan", "4..13", "--csv")
+    _, pooled, _ = run(capsys, "scan", "4..13", "--csv", "--jobs", "100000")
+    assert sizes == [4]
+    assert [r[:6] for r in csv.reader(io.StringIO(pooled))] == \
+        [r[:6] for r in csv.reader(io.StringIO(serial))]
+    run(capsys, "scan", "4..6", "--csv", "--jobs", "100000")
+    assert sizes == [4, 3]  # three rows need three workers at most
+    run(capsys, "scan", "7,19", "--csv", "--jobs", "100000")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    run(capsys, "scan", "4..13", "--csv", "--jobs", "8")
+    assert sizes == [4, 3]  # one row, or an unknown CPU count, runs serially

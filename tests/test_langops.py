@@ -90,11 +90,11 @@ def test_rejects_sink_graphs():
         start=0,
     )
     ok = build_single(7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="left graph is not essential"):
         is_subset(sink, ok)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="right graph is not essential"):
         is_subset(ok, sink)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="left graph is not essential"):
         pointed_isomorphic(sink, ok)
 
 
@@ -105,9 +105,9 @@ def test_rejects_non_right_resolving():
         start=0,
     )
     ok = build_single(7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="left graph is not right-resolving"):
         is_subset(g, ok)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="right graph is not right-resolving"):
         is_equal(ok, g)
 
 
@@ -117,5 +117,5 @@ def test_rejects_unreachable_vertices():
         edges=((0, 0, 0), (1, 1, 0)),
         start=0,
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="left graph is not reachable"):
         is_subset(g, build_single(7))

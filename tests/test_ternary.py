@@ -6,7 +6,6 @@ from cantor3 import (
     ParseError,
     family_value,
     from_ternary,
-    lowest_nonzero_digit,
     normalize,
     parse_multiplier,
     parse_multiplier_list,
@@ -50,11 +49,11 @@ def test_normalize_invariant_under_powers_of_three(m, e):
     assert normalize(m * 3**e).value == normalize(m).value
 
 
-def test_lowest_nonzero_digit():
+def test_residue_is_first_nonzero_digit():
     for m in range(1, 100_000):
         digits = to_ternary(m)
         first = next(d for d in digits if d != 0)
-        assert lowest_nonzero_digit(m) == first
+        assert normalize(m).residue == first
 
 
 def test_family_values():
