@@ -18,6 +18,9 @@ from collections import deque
 from dataclasses import dataclass
 from math import prod
 
+import numpy as np
+from scipy.sparse import csr_matrix
+
 from .errors import RefusalError
 from .ternary import Multiplier, normalize, render_ternary
 
@@ -62,18 +65,28 @@ class PointedLabeledGraph:
         return len(self.vertices)
 
     def reachable_set(self) -> set[int]:
-        seen = {self.start}
-        queue = deque([self.start])
-        succ = [set() for _ in range(self.n)]
-        for s, d, _ in self.edges:
-            succ[s].add(d)
-        while queue:
-            v = queue.popleft()
-            for w in succ[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
+        """Vertices reachable from the start, by BFS over every edge.
+
+        A right-resolving graph's `out` already holds every edge, so the
+        BFS reads it and allocates nothing per vertex. Otherwise `out` keeps
+        one destination per label, and the edges are regrouped by source,
+        keyed by edge index.
+        """
+        if self.right_resolving:
+            succ = self.out
+        else:
+            succ = [{} for _ in range(self.n)]
+            for i, (s, d, _) in enumerate(self.edges):
+                succ[s][i] = d
+        seen = [False] * self.n
+        seen[self.start] = True
+        order = [self.start]
+        for v in order:  # the BFS queue: appended to while it is walked
+            for w in succ[v].values():
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+        return set(order)
 
     def __repr__(self):
         return (f"PointedLabeledGraph({self.n} vertices, {len(self.edges)} edges, "
@@ -292,11 +305,12 @@ def build_multi_direct(ms, max_vertices: int | None = DEFAULT_MAX_VERTICES) -> P
     States are whole carry vectors instead of nested products: digit a is
     admissible when every component allows it, and components step
     independently. An independent cross-check of build_multi; the two must
-    present the same language.
+    present the same language, and give the same one-vertex graph when a
+    multiplier has residue 2.
     """
     ms = _prepare(ms)
     if any(m.residue == 2 for m in ms):
-        raise ValueError("residue-2 multipliers are handled upstream, not here")
+        return _trivial_graph([m.value for m in ms])
     ms = [m for m in ms if m.value != 1]
     if not ms:
         return build_single(normalize(1), max_vertices=max_vertices)
@@ -328,16 +342,33 @@ def build_multi_direct(ms, max_vertices: int | None = DEFAULT_MAX_VERTICES) -> P
     return trim_essential(g)
 
 
+# Graphs with fewer edges than this count paths in the per-edge Python loop:
+# there one numpy/scipy step (about 5-12 us) costs more than the whole loop.
+# The value is the measured crossover; see README "Path counts".
+LIMB_KERNEL_EDGES = 128
+
+_INT64_MAX = (1 << 63) - 1
+
+
 def count_paths(g: PointedLabeledGraph, n: int) -> int:
     """Number of length-n label words readable from the start.
 
     Right-resolving is required so distinct paths carry distinct words.
-    Exact integer arithmetic, so large n costs time but never precision.
+    Exact integer arithmetic, so large n costs time but never precision:
+    small graphs run a per-edge loop over Python ints, graphs with at least
+    LIMB_KERNEL_EDGES edges an int64 multi-limb sparse kernel.
     """
     if not g.right_resolving:
         raise ValueError("word counting needs a right-resolving graph")
     if n < 0:
         raise ValueError(f"word length must be nonnegative, got {n}")
+    if len(g.edges) < LIMB_KERNEL_EDGES:
+        return _count_paths_loop(g, n)
+    return _count_paths_limbs(g, n)
+
+
+def _count_paths_loop(g: PointedLabeledGraph, n: int) -> int:
+    """Path counts per vertex as Python ints, one add per edge per step."""
     counts = [0] * g.n
     counts[g.start] = 1
     for _ in range(n):
@@ -348,6 +379,39 @@ def count_paths(g: PointedLabeledGraph, n: int) -> int:
                 nxt[d] += c
         counts = nxt
     return sum(counts)
+
+
+def _count_paths_limbs(g: PointedLabeledGraph, n: int) -> int:
+    """Path counts per vertex as base-2^b int64 limbs, one sparse product per step.
+
+    A has rows = destination and columns = source, so duplicate edges sum
+    and a step is X = A @ X on the (vertices x limbs) array X. No entry of
+    X exceeds `bound` (a Python int); a step multiplies it by at most D, the
+    largest in-degree, so carries are propagated just before bound * D would
+    pass 2^63 - 1, repeatedly until a step fits. A carried limb holds less
+    than 2^b plus the carry from below; b = 49 - ceil(log2 D) leaves about
+    14 steps between carries at D = 2.
+    """
+    src = np.fromiter((s for s, _, _ in g.edges), dtype=np.int64, count=len(g.edges))
+    dst = np.fromiter((d for _, d, _ in g.edges), dtype=np.int64, count=len(g.edges))
+    A = csr_matrix((np.ones(len(g.edges), dtype=np.int64), (dst, src)), shape=(g.n, g.n))
+    D = max(1, int(A.sum(axis=1).max()))
+    b = max(1, 49 - (D - 1).bit_length())
+    mask = (1 << b) - 1
+    X = np.zeros((g.n, 1), dtype=np.int64)
+    X[g.start, 0] = 1
+    bound = 1
+    for _ in range(n):
+        while bound * D > _INT64_MAX:
+            high = X >> b
+            X &= mask
+            X[:, 1:] += high[:, :-1]
+            if high[:, -1].any():
+                X = np.hstack([X, high[:, -1:]])
+            bound = mask + (bound >> b)
+        X = A @ X
+        bound *= D
+    return sum(int(c) << (b * j) for j, c in enumerate(X.sum(axis=0, dtype=object)))
 
 
 def validate(g: PointedLabeledGraph, ms=None) -> ValidationReport:

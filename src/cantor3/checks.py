@@ -171,18 +171,17 @@ def check_family_N_phi() -> CheckResult:
     for k in range(1, 13):
         g = build_single(family_value(FamilyId("N", k)))
         r = hausdorff_dim(g)
-        comps = scc(g)
         v = np.array(N_eigenvector(k))
         resid = float(np.abs(adjacency(g) @ v - PHI * v).max())
         scale = float(np.abs(v).max())
         if (
             g.n != 2**k
-            or len(comps.components) != 1
+            or r.scc_count != 1
             or abs(r.dim - target) > 1e-8
             or resid > 1e-9 * scale
         ):
             bad.append(
-                f"k={k}: vertices={g.n} want {2**k}, sccs={len(comps.components)},"
+                f"k={k}: vertices={g.n} want {2**k}, sccs={r.scc_count},"
                 f" |dim-log3 phi|={abs(r.dim - target):.1e}, resid={resid:.1e}"
             )
     elapsed = perf_counter() - t0

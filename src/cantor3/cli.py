@@ -24,7 +24,7 @@ from .errors import ParseError, RefusalError
 from .families import Y_graph, expect_L, expect_N
 from .langops import is_subset, pointed_isomorphic
 from .oracle import brute_count, brute_count_extendable
-from .spectral import hausdorff_dim, scc
+from .spectral import hausdorff_dim
 from .ternary import FamilyId, family_value, parse_multiplier, parse_multiplier_list
 
 CSV_HEADER = ("multipliers", "vertices", "sccs", "beta", "dim", "error_bound", "elapsed_ms", "error")
@@ -87,7 +87,7 @@ def _scan_row(task):
         g = build_multi(values, max_vertices=max_vertices)
         r = hausdorff_dim(g)
         elapsed = int((perf_counter() - t0) * 1000)
-        return (label, g.n, len(scc(g).components), r.beta, r.dim, r.error_bound, elapsed, "")
+        return (label, g.n, r.scc_count, r.beta, r.dim, r.error_bound, elapsed, "")
     except Exception as e:
         elapsed = int((perf_counter() - t0) * 1000)
         return (label, "", "", "", "", "", elapsed, str(e))
@@ -100,7 +100,7 @@ def cmd_dim(args) -> int:
     p = args.precision
     print(
         f"beta={r.beta:.{p}f} dim={r.dim:.{p}f} vertices={g.n}"
-        f" sccs={len(scc(g).components)} error_bound={r.error_bound:.1e}"
+        f" sccs={r.scc_count} error_bound={r.error_bound:.1e}"
     )
     return 0
 
@@ -190,11 +190,11 @@ def cmd_family(args) -> int:
         return 0
     exp = expect_L(fam.k) if fam.kind == "L" else expect_N(fam.k)
     dim_ok = abs(r.dim - exp.expected_dim) <= args.tol
-    shape_ok = g.n == exp.expected_vertices and len(scc(g).components) == exp.expected_scc_count
+    shape_ok = g.n == exp.expected_vertices and r.scc_count == exp.expected_scc_count
     status = "ok" if dim_ok and shape_ok else "MISMATCH"
     print(
         f"{fam} value={value} dim={r.dim:.{p}f} expected={exp.expected_dim:.{p}f}"
-        f" vertices={g.n}/{exp.expected_vertices} sccs={len(scc(g).components)}"
+        f" vertices={g.n}/{exp.expected_vertices} sccs={r.scc_count}"
         f"/{exp.expected_scc_count} {status}"
     )
     return 0 if status == "ok" else 3

@@ -43,7 +43,9 @@ class DimensionResult:
 
     For power_iteration the bracket is the floating-point Collatz-Wielandt
     one, for char_poly_root the exact rational bracket, and exact_trivial
-    results have none.
+    results have none. scc_count is the number of strongly connected
+    components hausdorff_dim found; char_poly_dim finds none and leaves it
+    None.
     """
 
     beta: float
@@ -52,6 +54,7 @@ class DimensionResult:
     error_bound: float  # bound on |dim - true dim| from the bracket
     dominant_component: frozenset[int]
     beta_error: float = 0.0
+    scc_count: int | None = None
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,7 @@ def _power_iteration(edges: list, k: int, tol: float):
 
 
 def _spectral_full(g: PointedLabeledGraph, tol: float):
-    """(beta, beta_error, dominant vertex set, method) over all components."""
+    """(beta, beta_error, dominant vertex set, method, component count) over all components."""
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     comps = _tarjan(_successors(g))
@@ -218,7 +221,7 @@ def _spectral_full(g: PointedLabeledGraph, tol: float):
         if beta_c > best_beta:
             best_beta, best_err, best_comp, best_exact = beta_c, err_c, comp, exact
     method = "exact_trivial" if best_exact else "power_iteration"
-    return best_beta, best_err, tuple(best_comp), method
+    return best_beta, best_err, tuple(best_comp), method, len(comps)
 
 
 def char_poly(a: csr_matrix, limit: int = CHAR_POLY_LIMIT) -> CharPoly:
@@ -286,14 +289,14 @@ def hausdorff_dim(g: PointedLabeledGraph, tol: float = 1e-9) -> DimensionResult:
     first); on anything else the dimension formula does not apply.
     """
     validate(g).require("presentation")
-    beta, err, comp, method = _spectral_full(g, tol)
+    beta, err, comp, method, scc_count = _spectral_full(g, tol)
     assert beta >= 1.0 - 1e-12, "an essential graph contains a cycle"
     dim = log3(beta)
     dim_err = err / ((beta - err) * LOG3) if err else 0.0
     return DimensionResult(beta=beta, dim=dim, method=method,
                            error_bound=dim_err,
                            dominant_component=frozenset(comp),
-                           beta_error=err)
+                           beta_error=err, scc_count=scc_count)
 
 
 def _primitive(p: list) -> list:

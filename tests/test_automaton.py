@@ -22,7 +22,14 @@ from cantor3 import (
     trim_essential,
     validate,
 )
-from cantor3.automaton import to_json_dict, vertex_name
+from cantor3.automaton import (
+    LIMB_KERNEL_EDGES,
+    _count_paths_limbs,
+    _count_paths_loop,
+    to_json_dict,
+    vertex_name,
+)
+from cantor3.families import Y_graph
 
 
 def test_build_single_7_exact():
@@ -88,9 +95,11 @@ def test_build_multi_matches_direct_construction():
             assert is_equal(a, b).holds, tup
 
 
-def test_build_multi_direct_rejects_residue_two():
-    with pytest.raises(ValueError):
-        build_multi_direct([5])
+def test_residue_two_same_in_both_builders():
+    for ms in ([2], [5], [2, 7], [5, 7, 19], [4, 11]):
+        a, b = build_multi(ms), build_multi_direct(ms)
+        assert (a.start, a.edges) == (b.start, b.edges) == (0, ((0, 0, 0),)), ms
+        assert a.provenance == b.provenance, ms
 
 
 def test_fold_order_does_not_matter():
@@ -142,6 +151,109 @@ def test_count_paths_rejects_bad_input():
     g = build_single(7)
     with pytest.raises(ValueError):
         count_paths(g, -1)
+
+
+def _high_in_degree_graph():
+    """Right-resolving, labels 0/1/2, every vertex reads 0 and 1 into vertex 0.
+
+    Vertex 0 has in-degree 9 and each (v, 0) pair is a duplicate edge, so
+    the kernel's matrix sums them and its limbs are narrower than at D = 2.
+    """
+    k = 4
+    edges = [(v, d, a) for v in range(k) for d, a in ((0, 0), (0, 1), ((v + 1) % k, 2))]
+    return PointedLabeledGraph([(v,) for v in range(k)], edges, 0, provenance="fan-in")
+
+
+KERNEL_GRAPHS = {
+    "N_5": lambda: build_multi([3**5 + 1]),
+    "N_7": lambda: build_multi([3**7 + 1]),
+    "7,19": lambda: build_multi([7, 19]),
+    "Y": Y_graph,
+    "fan-in": _high_in_degree_graph,
+    "raw 4,16": lambda: reachable_product(build_single(4), build_single(16)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+def test_count_paths_kernel_matches_loop(name):
+    g = KERNEL_GRAPHS[name]()
+    for n in (0, 1, 62, 63, 64, 65, 66, 200, 400):
+        want = _count_paths_loop(g, n)
+        got = _count_paths_limbs(g, n)
+        assert type(got) is int
+        assert got == want, (name, n)
+
+
+def test_count_paths_kernel_grows_limbs():
+    # 279 bits need six 48-bit limbs, all grown from one; the value is
+    # compared with the loop in test_count_paths_kernel_matches_loop
+    assert _count_paths_limbs(build_multi([3**5 + 1]), 400).bit_length() == 279
+
+
+def test_count_paths_kernel_on_duplicate_edges():
+    g = _high_in_degree_graph()
+    assert g.right_resolving
+    assert max(sum(1 for _, d, _ in g.edges if d == v) for v in range(g.n)) >= 8
+    assert len(set((s, d) for s, d, _ in g.edges)) < len(g.edges)
+
+    def words(v, n):  # readable words, enumerated one by one
+        return 1 if n == 0 else sum(words(w, n - 1) for w in g.out[v].values())
+
+    for n in range(7):
+        assert _count_paths_limbs(g, n) == words(g.start, n)
+    assert _count_paths_limbs(g, 400) == _count_paths_loop(g, 400)
+
+
+def test_count_paths_kernel_on_wide_fan_in():
+    # in-degree 18 000 > 2^14: the limb width must shrink with it, or the
+    # first carry leaves no room for a step
+    k = 6000
+    g = PointedLabeledGraph([(v,) for v in range(k)],
+                            [(v, 0, a) for v in range(k) for a in (0, 1, 2)], 0)
+    assert _count_paths_limbs(g, 200) == 3**200
+
+
+def test_count_paths_kernel_matches_oracle():
+    m = 3**5 + 1
+    g = build_multi([m])
+    raw = reachable_product(build_single(4), build_single(16))
+    trimmed = trim_essential(raw)
+    pair = build_multi([7, 19])
+    for n in (0, 1, 5, 10):
+        assert _count_paths_limbs(g, n) == brute_count([m], n)
+        assert _count_paths_limbs(raw, n) == brute_count([4, 16], n)
+        assert _count_paths_limbs(trimmed, n) == brute_count_extendable([4, 16], n)
+        assert _count_paths_limbs(pair, n) == brute_count_extendable([7, 19], n)
+
+
+def test_count_paths_takes_the_kernel_at_the_cutoff(monkeypatch):
+    import cantor3.automaton as automaton
+
+    small, large = build_multi([3**5 + 1]), build_multi([3**7 + 1])
+    assert len(small.edges) < LIMB_KERNEL_EDGES <= len(large.edges)
+    taken = []
+    for name in ("_count_paths_loop", "_count_paths_limbs"):
+        fn = getattr(automaton, name)
+        monkeypatch.setattr(automaton, name,
+                            lambda g, n, fn=fn, name=name: taken.append(name) or fn(g, n))
+    assert count_paths(large, 300) == _count_paths_loop(large, 300)
+    assert count_paths(small, 300) == _count_paths_limbs(small, 300)
+    assert taken == ["_count_paths_limbs", "_count_paths_loop"]
+    with pytest.raises(ValueError, match="nonnegative"):
+        count_paths(large, -1)
+    doubled = PointedLabeledGraph(large.vertices, large.edges + ((0, 1, 0),), 0)
+    assert not doubled.right_resolving
+    with pytest.raises(ValueError, match="right-resolving"):
+        count_paths(doubled, 10)
+
+
+def test_reachable_set_follows_every_edge():
+    # vertex 0 reads 0 into both 1 and 2; out[0] keeps only one of them
+    g = PointedLabeledGraph([(0,), (1,), (2,), (3,)],
+                            [(0, 1, 0), (0, 2, 0), (1, 1, 0), (2, 2, 0), (3, 0, 0)], 0)
+    assert not g.right_resolving
+    assert g.reachable_set() == {0, 1, 2}
+    assert not validate(g).reachable
 
 
 def test_validate_flags_stranded_vertex():

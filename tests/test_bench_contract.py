@@ -11,7 +11,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from cantor3 import automaton, build_single, spectral
+from cantor3 import automaton, build_multi, build_single, spectral
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -41,3 +41,12 @@ def test_reference_char_poly_is_exact():
     p = spectral.char_poly(spectral.adjacency(build_single(7)))
     assert p.coefficients == (-1, 0, 1, -2, 1)  # x^4 - 2x^3 + x^2 - 1
     assert all(type(c) is int for c in p.coefficients)
+
+
+def test_count_paths_returns_plain_int():
+    # the benchmark child json.dumps the count; a numpy integer would fail there
+    for g in (build_single(7), build_multi([3**7 + 1])):
+        for n in (0, 70):
+            assert type(automaton.count_paths(g, n)) is int
+    assert len(build_single(7).edges) < automaton.LIMB_KERNEL_EDGES
+    assert len(build_multi([3**7 + 1]).edges) >= automaton.LIMB_KERNEL_EDGES

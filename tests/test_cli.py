@@ -209,3 +209,25 @@ def test_scan_jobs_clamped_to_cpus_and_tasks(monkeypatch, capsys):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     run(capsys, "scan", "4..13", "--csv", "--jobs", "8")
     assert sizes == [4, 3]  # one row, or an unknown CPU count, runs serially
+
+
+def test_one_tarjan_per_graph(monkeypatch, capsys):
+    import cantor3.spectral as spectral
+
+    calls = []
+    tarjan = spectral._tarjan
+
+    def counted(succ):
+        calls.append(len(succ))
+        return tarjan(succ)
+
+    monkeypatch.setattr(spectral, "_tarjan", counted)
+    code, out, _ = run(capsys, "scan", "4..40", "--csv")
+    assert code == 0
+    assert len(calls) == len(out.splitlines()) - 1 == 37
+    del calls[:]
+    code, out, _ = run(capsys, "dim", "7")
+    assert code == 0 and "sccs=1" in out and len(calls) == 1
+    del calls[:]
+    code, out, _ = run(capsys, "family", "L:4")
+    assert code == 0 and "sccs=1/1 ok" in out and len(calls) == 1
