@@ -238,27 +238,30 @@ def trim_essential(g: PointedLabeledGraph) -> PointedLabeledGraph:
                 if outdeg[p] == 0 and p != g.start:
                     dead.append(p)
 
-    # reachability over the surviving part
-    succ = [set() for _ in range(n)]
+    # reachability over the surviving part; the start is never dropped, so
+    # every vertex seen is alive
+    succ = [[] for _ in range(n)]
     for s, d, _ in g.edges:
         if alive[s] and alive[d]:
-            succ[s].add(d)
-    seen = {g.start}
-    queue = deque([g.start])
-    while queue:
-        v = queue.popleft()
+            succ[s].append(d)
+    seen = [False] * n
+    seen[g.start] = True
+    order = [g.start]
+    for v in order:  # the BFS queue: appended to while it is walked
         for w in succ[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
+            if not seen[w]:
+                seen[w] = True
+                order.append(w)
 
-    keep = [v for v in range(n) if alive[v] and v in seen]
-    if len(keep) == n:
+    if len(order) == n:
         return g
-    renum = {v: i for i, v in enumerate(keep)}
+    keep = [v for v in range(n) if seen[v]]
+    renum = [-1] * n
+    for i, v in enumerate(keep):
+        renum[v] = i
     vertices = [g.vertices[v] for v in keep]
     edges = [(renum[s], renum[d], a) for (s, d, a) in g.edges
-             if s in renum and d in renum]
+             if seen[s] and seen[d]]
     return PointedLabeledGraph(vertices, edges, renum[g.start], provenance=g.provenance)
 
 

@@ -5,13 +5,17 @@ x = sum w[i] * 3^i, and w is admissible for multiplier M when every one of
 the first n base-3 digits of M*x is 0 or 1. All multipliers used here are
 1 mod 3, which makes digit j of M*x final once digits 0..j of x are fixed,
 so prefixes can be checked one new digit at a time and dead branches pruned.
-That is the entire theory this module relies on; the dimension lower bound
-from first-return words (return_word_bound) adds only that a word whose
-products all fit in its own length leaves no carry behind.
+The low n digits of M*x depend only on M mod 3^n, so the block counts
+reduce every multiplier mod 3^n before they start. That is the entire
+theory this module relies on; the dimension lower bound from first-return
+words (return_word_bound) adds only that a word whose products all fit in
+its own length leaves no carry behind.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import RefusalError
 from .ternary import Multiplier, normalize
@@ -19,6 +23,8 @@ from .ternary import Multiplier, normalize
 DEFAULT_LIMIT = 22
 RETURN_LIMIT = 36
 EXCEEDS_MAX_DEN = 1024
+SLICE = 1 << 16  # most prefixes _count extends at once
+INT64_MAX = 2 ** 63 - 1
 
 
 def _values(ms) -> tuple[int, ...]:
@@ -59,26 +65,36 @@ def _checked(ms, n: int, limit: int) -> tuple[int, ...]:
 
 
 def _count(values, n: int, accept=None) -> int:
-    """Admissible words in {0,1}^n by pruned depth-first enumeration.
+    """Admissible words in {0,1}^n, extended level by level as arrays.
 
+    Each stack entry holds the admissible prefixes of one length as an
+    array of values x. Extending by digit b adds b * 3^pos; the entries
+    whose new product digit is 0 or 1 for every multiplier survive. Arrays
+    longer than SLICE are split before they are extended, so memory stays
+    bounded for every n. Multipliers are reduced mod 3^n first; int64
+    holds every product when max(M mod 3^n) * 3^n fits, and Python-int
+    object arrays keep the rest exact.
     With accept given, only the words x (read to depth n, p3 = 3^n) for
     which accept(x, p3) holds are counted.
     """
+    mods = [M % 3 ** n for M in values]
+    dtype = np.int64 if max(mods) * 3 ** n <= INT64_MAX else object
     count = 0
-
-    def rec(pos: int, x: int, p3: int):
-        nonlocal count
+    stack = [(0, np.zeros(1, dtype=dtype), 1)]
+    while stack:
+        pos, x, p3 = stack.pop()
         if pos == n:
-            if accept is None or accept(x, p3):
-                count += 1
-            return
-        for b in (0, 1):
-            x2 = x + b * p3
-            # digit pos of M*x2 is final; lower digits were already accepted
-            if all((M * x2 // p3) % 3 <= 1 for M in values):
-                rec(pos + 1, x2, p3 * 3)
-
-    rec(0, 0, 1)
+            count += len(x) if accept is None else sum(
+                1 for w in x.tolist() if accept(w, p3))
+            continue
+        if len(x) > SLICE:
+            stack.extend((pos, x[i:i + SLICE], p3) for i in range(0, len(x), SLICE))
+            continue
+        x = np.concatenate((x, x + p3))
+        for M in mods:
+            # digit pos of M*x is final; lower digits were already accepted
+            x = x[(M * x // p3) % 3 <= 1]
+        stack.append((pos + 1, x, p3 * 3))
     return count
 
 

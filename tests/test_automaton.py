@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import deque
 
 import pytest
 
@@ -137,6 +138,70 @@ def test_trim_removes_dead_branches():
 def test_trim_is_identity_on_essential_graphs():
     g = build_single(7)
     assert trim_essential(g) is g
+
+
+def _trim_essential_reference(g):
+    """The set-per-vertex trim that trim_essential replaced, kept as reference."""
+    n = g.n
+    alive = [True] * n
+    outdeg = [0] * n
+    preds = [[] for _ in range(n)]
+    for s, d, _ in g.edges:
+        outdeg[s] += 1
+        preds[d].append(s)
+    dead = deque(v for v in range(n) if outdeg[v] == 0 and v != g.start)
+    while dead:
+        v = dead.popleft()
+        if not alive[v]:
+            continue
+        alive[v] = False
+        for p in preds[v]:
+            if alive[p]:
+                outdeg[p] -= 1
+                if outdeg[p] == 0 and p != g.start:
+                    dead.append(p)
+    succ = [set() for _ in range(n)]
+    for s, d, _ in g.edges:
+        if alive[s] and alive[d]:
+            succ[s].add(d)
+    seen = {g.start}
+    queue = deque([g.start])
+    while queue:
+        v = queue.popleft()
+        for w in succ[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    keep = [v for v in range(n) if alive[v] and v in seen]
+    if len(keep) == n:
+        return g
+    renum = {v: i for i, v in enumerate(keep)}
+    vertices = [g.vertices[v] for v in keep]
+    edges = [(renum[s], renum[d], a) for (s, d, a) in g.edges
+             if s in renum and d in renum]
+    return PointedLabeledGraph(vertices, edges, renum[g.start], provenance=g.provenance)
+
+
+def _assert_trim_matches_reference(g):
+    got, want = trim_essential(g), _trim_essential_reference(g)
+    assert (got.vertices, got.edges, got.start) == (want.vertices, want.edges, want.start)
+    assert (got is g) == (want is g)
+
+
+@pytest.mark.parametrize("ms", [(4, 16), (4, 256), (7, 19), (3**5 + 1, 3**6 + 1)])
+def test_trim_matches_reference(ms):
+    _assert_trim_matches_reference(reachable_product(build_single(ms[0]), build_single(ms[1])))
+
+
+def test_trim_matches_reference_on_random_graphs():
+    # sinks, unreachable parts and duplicate edges, which products never have all of
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        edges = [(rng.randrange(n), rng.randrange(n), rng.randrange(3))
+                 for _ in range(rng.randint(0, 2 * n))]
+        _assert_trim_matches_reference(
+            PointedLabeledGraph([(v,) for v in range(n)], edges, rng.randrange(n)))
 
 
 def test_count_paths_examples():

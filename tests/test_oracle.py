@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -16,7 +17,13 @@ from cantor3 import (
     normalize,
 )
 from cantor3.families import PHI
-from cantor3.oracle import RETURN_LIMIT, first_return_counts, return_word_bound
+from cantor3.oracle import (
+    INT64_MAX,
+    RETURN_LIMIT,
+    SLICE,
+    first_return_counts,
+    return_word_bound,
+)
 from cantor3.spectral import log3
 
 
@@ -104,6 +111,63 @@ def test_limit_override():
     assert brute_count([7], 24, limit=25) == 121393
 
 
+def _count_reference(ms, n):
+    """The per-word recursion that _count replaced, kept as the reference."""
+    values = [normalize(m).value for m in ms]
+
+    def rec(pos, x, p3):
+        if pos == n:
+            return 1
+        return sum(rec(pos + 1, x2, p3 * 3) for x2 in (x, x + p3)
+                   if all((M * x2 // p3) % 3 <= 1 for M in values))
+
+    return rec(0, 0, 1)
+
+
+def _filtered(ms, n):
+    return sum(1 for w in itertools.product((0, 1), repeat=n) if admissible_word(ms, w))
+
+
+def _fits_int64(ms, n):
+    return max(normalize(m).value % 3**n for m in ms) * 3**n <= INT64_MAX
+
+
+def test_empty_word_is_counted_once():
+    assert brute_count([7], 0) == 1
+    assert brute_count([4, 16], 0) == 1
+    assert brute_count_extendable([4, 16], 0) == 1
+
+
+def test_multipliers_past_3_to_the_n():
+    # only M mod 3^n reaches the low n digits of M*x
+    for ms in ([3**40 + 1], [2**40], [7, 3**40 + 1]):
+        assert brute_count(ms, 12) == _filtered(ms, 12)
+
+
+def test_object_path_matches_reference():
+    for ms, n in (([2**40], 22), ([7, 2**40], 21)):
+        assert not _fits_int64(ms, n)
+        assert brute_count(ms, n) == _count_reference(ms, n)
+
+
+def test_both_sides_of_the_int64_bound():
+    n = 20
+    below = INT64_MAX // 3**n
+    below -= (below - 1) % 3  # residue 1, so normalize keeps it
+    assert _fits_int64([below], n) and not _fits_int64([below + 3], n)
+    for M in (below, below + 3):
+        assert M < 3**n
+        assert brute_count([M], n) == _count_reference([M], n)
+        assert brute_count([7, M], n) == _count_reference([7, M], n)
+
+
+def test_frontier_larger_than_a_slice():
+    # at n = 18 the 2^17 prefixes of length 17 are split before they are extended
+    assert 2**17 > SLICE
+    assert brute_count([1], 17) == 2**17
+    assert brute_count([1], 18) == 2**18
+
+
 def test_dim_estimate_converges_roughly():
     g = build_single(7)
     est = dim_estimate(g, 12)
@@ -177,3 +241,27 @@ def test_oracle_matches_automaton_for_random_singles(m, n):
     assume(normalize(m).residue == 1)
     g = build_multi([m])
     assert brute_count([m], n) == count_paths(g, n)
+
+
+def _residue_1(bound):
+    return st.integers(min_value=1, max_value=bound - 1).filter(
+        lambda m: normalize(m).residue == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_residue_1(3**8), min_size=1, max_size=3), st.integers(min_value=0, max_value=9))
+def test_brute_count_matches_filter_for_random_tuples(ms, n):
+    assert brute_count(ms, n) == _filtered(ms, n)
+
+
+# The extension probe walks every extendable word to depth n + prod(1 + M div 2),
+# over 10^10 for three multipliers near 3^8, so each tuple size gets its own
+# bound on the multipliers: products of at most 3 281, 1 681 and 2 744.
+_SMALL_PROBE_TUPLES = st.sampled_from([(1, 3**8), (2, 3**4), (3, 3**3)]).flatmap(
+    lambda kb: st.lists(_residue_1(kb[1]), min_size=kb[0], max_size=kb[0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SMALL_PROBE_TUPLES, st.integers(min_value=0, max_value=9))
+def test_extendable_matches_automaton_for_random_tuples(ms, n):
+    assert brute_count_extendable(ms, n) == count_paths(build_multi(ms), n)
