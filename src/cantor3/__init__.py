@@ -3,7 +3,6 @@ multiplicative translates of the base-3 Cantor set."""
 
 from .automaton import (
     PointedLabeledGraph,
-    ValidationReport,
     build_multi,
     build_multi_direct,
     build_single,
@@ -17,7 +16,6 @@ from .automaton import (
 )
 from .errors import ParseError, RefusalError
 from .families import (
-    FamilyExpectation,
     N_eigenvector,
     Y_graph,
     check_L_bounds,
@@ -30,7 +28,6 @@ from .oracle import admissible_word, brute_count, brute_count_extendable, dim_es
 from .spectral import (
     CharPoly,
     DimensionResult,
-    SccDecomposition,
     adjacency,
     char_poly,
     char_poly_dim,

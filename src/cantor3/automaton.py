@@ -3,6 +3,8 @@
 The objects here present path sets: a presentation is a finite directed
 multigraph with edge labels in {0,1,2} and a marked start vertex, and the
 set presented is all infinite label sequences of walks from the start.
+Every presentation is right-resolving: at most one edge per label leaves
+each vertex, so a word read from the start follows one path.
 
 The carry construction reads a candidate digit word least-significant digit
 first. For each multiplier M it tracks the pending high part N (the carry)
@@ -28,61 +30,67 @@ DEFAULT_MAX_VERTICES = 2_000_000
 
 
 class PointedLabeledGraph:
-    """Immutable labeled directed multigraph with a marked start vertex.
+    """Immutable pointed presentation, right-resolving by construction.
 
     vertices[i] is the carry vector of vertex i (a tuple of nonnegative
-    ints, one per multiplier). Edges are (src, dst, label) triples. When no
-    vertex has two out-edges sharing a label the graph is right-resolving
-    and out[v] maps each label to its unique destination; operations that
-    read words off the graph require this.
+    ints, one per multiplier). out[v] is v's label table: it maps the label
+    of each edge leaving v to that edge's destination. A dict holds one
+    destination per label, so no graph can have two edges with one label
+    leaving one vertex. edges lists the same edges as (src, dst, label)
+    triples: in the caller's order for a graph built from an edge list, and
+    source by source in table order for a graph made from tables. Every
+    builder fills its rows in ascending label order; trim_essential keeps
+    the row order of its input.
+
+    The constructor takes an edge list from outside and checks it once;
+    builders hand over their tables through the unchecked _from_table.
     """
 
-    __slots__ = ("vertices", "edges", "start", "provenance", "out", "right_resolving")
+    __slots__ = ("vertices", "out", "edges", "start", "provenance")
 
     def __init__(self, vertices, edges, start, provenance=""):
         self.vertices = tuple(tuple(v) for v in vertices)
-        self.edges = tuple((int(s), int(d), int(a)) for s, d, a in edges)
-        if not 0 <= start < len(self.vertices):
+        n = len(self.vertices)
+        if not 0 <= start < n:
             raise ValueError(f"start vertex {start} out of range")
-        for s, d, a in self.edges:
-            if not (0 <= s < len(self.vertices) and 0 <= d < len(self.vertices)):
+        out = [{} for _ in range(n)]
+        checked = []
+        for s, d, a in edges:
+            s, d, a = int(s), int(d), int(a)
+            if not (0 <= s < n and 0 <= d < n):
                 raise ValueError(f"edge ({s},{d},{a}) references a missing vertex")
             if a not in (0, 1, 2):
                 raise ValueError(f"edge label {a} outside the alphabet {{0,1,2}}")
+            if a in out[s]:
+                raise ValueError(f"vertex {s} has two edges labeled {a};"
+                                 " a presentation must be right-resolving")
+            out[s][a] = d
+            checked.append((s, d, a))
+        self.out = tuple(out)
         self.start = start
         self.provenance = provenance
-        out = [{} for _ in self.vertices]
-        resolving = True
-        for s, d, a in self.edges:
-            if a in out[s]:
-                resolving = False
-            out[s][a] = d
-        self.out = tuple(out)
-        self.right_resolving = resolving
+        self.edges = tuple(checked)
+
+    @classmethod
+    def _from_table(cls, vertices: tuple, out: tuple, start: int,
+                    provenance: str) -> "PointedLabeledGraph":
+        """A builder's own tables, unchecked: one row per vertex, in vertex order."""
+        g = cls.__new__(cls)
+        g.vertices, g.out, g.start, g.provenance = vertices, out, start, provenance
+        g.edges = tuple((s, d, a) for s, row in enumerate(out) for a, d in row.items())
+        return g
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
     def reachable_set(self) -> set[int]:
-        """Vertices reachable from the start, by BFS over every edge.
-
-        A right-resolving graph's `out` already holds every edge, so the
-        BFS reads it and allocates nothing per vertex. Otherwise `out` keeps
-        one destination per label, and the edges are regrouped by source,
-        keyed by edge index.
-        """
-        if self.right_resolving:
-            succ = self.out
-        else:
-            succ = [{} for _ in range(self.n)]
-            for i, (s, d, _) in enumerate(self.edges):
-                succ[s][i] = d
+        """Vertices reachable from the start, by BFS over the label tables."""
         seen = [False] * self.n
         seen[self.start] = True
         order = [self.start]
         for v in order:  # the BFS queue: appended to while it is walked
-            for w in succ[v].values():
+            for w in self.out[v].values():
                 if not seen[w]:
                     seen[w] = True
                     order.append(w)
@@ -95,30 +103,24 @@ class PointedLabeledGraph:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    right_resolving: bool
     reachable: bool
     essential: bool
-    vertex_count: int
-    edge_count: int
     vertex_bound_ok: bool
 
     @property
     def all_ok(self) -> bool:
-        return (self.right_resolving and self.reachable and self.essential
-                and self.vertex_bound_ok)
+        return self.reachable and self.essential and self.vertex_bound_ok
 
     def require(self, side: str) -> None:
         """Raise ValueError naming `side` and each failed presentation property.
 
-        Dimensions and language comparisons hold only for right-resolving,
-        essential (no sinks) and reachable graphs.
+        Dimensions and language comparisons hold only for essential (no
+        sinks) and reachable graphs; right-resolving holds by construction.
         """
-        failed = [name for name, ok in (("right-resolving", self.right_resolving),
-                                        ("essential", self.essential),
+        failed = [name for name, ok in (("essential", self.essential),
                                         ("reachable", self.reachable)) if not ok]
         if failed:
-            hint = "" if self.essential and self.reachable else "; apply trim_essential first"
-            raise ValueError(f"{side} is not {' and '.join(failed)}{hint}")
+            raise ValueError(f"{side} is not {' and '.join(failed)}; apply trim_essential first")
 
 
 def _as_multiplier(m) -> Multiplier:
@@ -128,7 +130,7 @@ def _as_multiplier(m) -> Multiplier:
 def _trivial_graph(values) -> PointedLabeledGraph:
     # only the zero word survives: one vertex, one 0-labeled loop
     desc = ",".join(str(v) for v in values)
-    return PointedLabeledGraph([(0,)], [(0, 0, 0)], 0, provenance=f"trivial({desc})")
+    return PointedLabeledGraph._from_table(((0,),), ({0: 0},), 0, f"trivial({desc})")
 
 
 def build_single(m, max_vertices: int | None = DEFAULT_MAX_VERTICES) -> PointedLabeledGraph:
@@ -146,11 +148,9 @@ def build_single(m, max_vertices: int | None = DEFAULT_MAX_VERTICES) -> PointedL
     M = m.value
     index = {0: 0}
     carries = [0]
-    edges = []
-    queue = deque([0])
-    while queue:
-        N = queue.popleft()
-        src = index[N]
+    out = []
+    for N in carries:  # the BFS queue: appended to while it is walked
+        row = {}
         for a in (0, 1):
             if (a + N) % 3 > 1:
                 continue
@@ -163,10 +163,10 @@ def build_single(m, max_vertices: int | None = DEFAULT_MAX_VERTICES) -> PointedL
                 dst = len(carries)
                 index[nxt] = dst
                 carries.append(nxt)
-                queue.append(nxt)
-            edges.append((src, dst, a))
-    return PointedLabeledGraph([(c,) for c in carries], edges, 0,
-                               provenance=f"carry({M})")
+            row[a] = dst
+        out.append(row)
+    return PointedLabeledGraph._from_table(tuple((c,) for c in carries), tuple(out), 0,
+                                           f"carry({M})")
 
 
 def reachable_product(g1: PointedLabeledGraph, g2: PointedLabeledGraph,
@@ -178,19 +178,13 @@ def reachable_product(g1: PointedLabeledGraph, g2: PointedLabeledGraph,
     with no common continuation are kept, which is exactly what finite
     prefix counting wants (see trim_essential for the other half).
     """
-    for g, side in ((g1, "left"), (g2, "right")):
-        if not g.right_resolving:
-            raise ValueError(f"{side} factor must be right-resolving")
     start = (g1.start, g2.start)
     index = {start: 0}
     pairs = [start]
-    edges = []
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        u1, u2 = pair
-        src = index[pair]
+    out = []
+    for u1, u2 in pairs:  # the BFS queue: appended to while it is walked
         row1, row2 = g1.out[u1], g2.out[u2]
+        row = {}
         for a in sorted(row1):
             if a not in row2:
                 continue
@@ -203,12 +197,11 @@ def reachable_product(g1: PointedLabeledGraph, g2: PointedLabeledGraph,
                 dst = len(pairs)
                 index[nxt] = dst
                 pairs.append(nxt)
-                queue.append(nxt)
-            edges.append((src, dst, a))
-    vertices = [g1.vertices[u1] + g2.vertices[u2] for (u1, u2) in pairs]
-    return PointedLabeledGraph(
-        vertices, edges, 0,
-        provenance=f"product({g1.provenance}, {g2.provenance})")
+            row[a] = dst
+        out.append(row)
+    vertices = tuple(g1.vertices[u1] + g2.vertices[u2] for (u1, u2) in pairs)
+    return PointedLabeledGraph._from_table(
+        vertices, tuple(out), 0, f"product({g1.provenance}, {g2.provenance})")
 
 
 def trim_essential(g: PointedLabeledGraph) -> PointedLabeledGraph:
@@ -220,12 +213,13 @@ def trim_essential(g: PointedLabeledGraph) -> PointedLabeledGraph:
     on digit 0). Returns the input object unchanged when nothing is cut.
     """
     n = g.n
+    out = g.out
     alive = [True] * n
-    outdeg = [0] * n
+    outdeg = [len(row) for row in out]
     preds = [[] for _ in range(n)]
-    for s, d, _ in g.edges:
-        outdeg[s] += 1
-        preds[d].append(s)
+    for s, row in enumerate(out):
+        for d in row.values():
+            preds[d].append(s)
     dead = deque(v for v in range(n) if outdeg[v] == 0 and v != g.start)
     while dead:
         v = dead.popleft()
@@ -240,16 +234,12 @@ def trim_essential(g: PointedLabeledGraph) -> PointedLabeledGraph:
 
     # reachability over the surviving part; the start is never dropped, so
     # every vertex seen is alive
-    succ = [[] for _ in range(n)]
-    for s, d, _ in g.edges:
-        if alive[s] and alive[d]:
-            succ[s].append(d)
     seen = [False] * n
     seen[g.start] = True
     order = [g.start]
     for v in order:  # the BFS queue: appended to while it is walked
-        for w in succ[v]:
-            if not seen[w]:
+        for w in out[v].values():
+            if alive[w] and not seen[w]:
                 seen[w] = True
                 order.append(w)
 
@@ -259,10 +249,9 @@ def trim_essential(g: PointedLabeledGraph) -> PointedLabeledGraph:
     renum = [-1] * n
     for i, v in enumerate(keep):
         renum[v] = i
-    vertices = [g.vertices[v] for v in keep]
-    edges = [(renum[s], renum[d], a) for (s, d, a) in g.edges
-             if seen[s] and seen[d]]
-    return PointedLabeledGraph(vertices, edges, renum[g.start], provenance=g.provenance)
+    rows = tuple({a: renum[d] for a, d in out[v].items() if seen[d]} for v in keep)
+    return PointedLabeledGraph._from_table(tuple(g.vertices[v] for v in keep), rows,
+                                           renum[g.start], g.provenance)
 
 
 def label_product(g1: PointedLabeledGraph, g2: PointedLabeledGraph,
@@ -321,11 +310,9 @@ def build_multi_direct(ms, max_vertices: int | None = DEFAULT_MAX_VERTICES) -> P
     start = (0,) * len(values)
     index = {start: 0}
     vectors = [start]
-    edges = []
-    queue = deque([start])
-    while queue:
-        Ns = queue.popleft()
-        src = index[Ns]
+    out = []
+    for Ns in vectors:  # the BFS queue: appended to while it is walked
+        row = {}
         for a in (0, 1):
             if any((a + N) % 3 > 1 for N in Ns):
                 continue
@@ -338,11 +325,11 @@ def build_multi_direct(ms, max_vertices: int | None = DEFAULT_MAX_VERTICES) -> P
                 dst = len(vectors)
                 index[nxt] = dst
                 vectors.append(nxt)
-                queue.append(nxt)
-            edges.append((src, dst, a))
+            row[a] = dst
+        out.append(row)
     desc = ",".join(str(v) for v in values)
-    g = PointedLabeledGraph(vectors, edges, 0, provenance=f"carry({desc})")
-    return trim_essential(g)
+    return trim_essential(PointedLabeledGraph._from_table(
+        tuple(vectors), tuple(out), 0, f"carry({desc})"))
 
 
 # Graphs with fewer edges than this count paths in the per-edge Python loop:
@@ -356,13 +343,12 @@ _INT64_MAX = (1 << 63) - 1
 def count_paths(g: PointedLabeledGraph, n: int) -> int:
     """Number of length-n label words readable from the start.
 
-    Right-resolving is required so distinct paths carry distinct words.
-    Exact integer arithmetic, so large n costs time but never precision:
-    small graphs run a per-edge loop over Python ints, graphs with at least
-    LIMB_KERNEL_EDGES edges an int64 multi-limb sparse kernel.
+    Graphs are right-resolving by construction, so distinct paths carry
+    distinct words. Exact integer arithmetic, so large n costs time but
+    never precision: small graphs run a per-edge loop over Python ints,
+    graphs with at least LIMB_KERNEL_EDGES edges an int64 multi-limb sparse
+    kernel.
     """
-    if not g.right_resolving:
-        raise ValueError("word counting needs a right-resolving graph")
     if n < 0:
         raise ValueError(f"word length must be nonnegative, got {n}")
     if len(g.edges) < LIMB_KERNEL_EDGES:
@@ -425,11 +411,8 @@ def validate(g: PointedLabeledGraph, ms=None) -> ValidationReport:
         bound = prod(1 + _as_multiplier(m).value // 2 for m in ms)
         bound_ok = g.n <= bound
     return ValidationReport(
-        right_resolving=g.right_resolving,
         reachable=len(g.reachable_set()) == g.n,
         essential=all(g.out),
-        vertex_count=g.n,
-        edge_count=len(g.edges),
         vertex_bound_ok=bound_ok,
     )
 

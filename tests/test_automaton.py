@@ -3,7 +3,9 @@ import json
 import random
 from collections import deque
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantor3 import (
     PointedLabeledGraph,
@@ -16,6 +18,7 @@ from cantor3 import (
     count_paths,
     is_equal,
     label_product,
+    normalize,
     pointed_isomorphic,
     reachable_product,
     to_dot,
@@ -46,7 +49,6 @@ def test_build_single_7_exact():
         (3, 0, 0),
     }
     assert g.start == 0
-    assert g.right_resolving
 
 
 def test_build_single_19_shape():
@@ -194,14 +196,19 @@ def test_trim_matches_reference(ms):
 
 
 def test_trim_matches_reference_on_random_graphs():
-    # sinks, unreachable parts and duplicate edges, which products never have all of
+    # sinks, unreachable parts and parallel edges with distinct labels, which
+    # products never have all of; at most one edge per (source, label), drawn
+    # in that order
     rng = random.Random(5)
+    cut = 0
     for _ in range(300):
         n = rng.randint(1, 10)
-        edges = [(rng.randrange(n), rng.randrange(n), rng.randrange(3))
-                 for _ in range(rng.randint(0, 2 * n))]
-        _assert_trim_matches_reference(
-            PointedLabeledGraph([(v,) for v in range(n)], edges, rng.randrange(n)))
+        edges = [(s, rng.randrange(n), a) for s in range(n) for a in range(3)
+                 if rng.random() < 0.4]
+        g = PointedLabeledGraph([(v,) for v in range(n)], edges, rng.randrange(n))
+        _assert_trim_matches_reference(g)
+        cut += trim_essential(g) is not g
+    assert cut > 0
 
 
 def test_count_paths_examples():
@@ -257,7 +264,6 @@ def test_count_paths_kernel_grows_limbs():
 
 def test_count_paths_kernel_on_duplicate_edges():
     g = _high_in_degree_graph()
-    assert g.right_resolving
     assert max(sum(1 for _, d, _ in g.edges if d == v) for v in range(g.n)) >= 8
     assert len(set((s, d) for s, d, _ in g.edges)) < len(g.edges)
 
@@ -306,19 +312,8 @@ def test_count_paths_takes_the_kernel_at_the_cutoff(monkeypatch):
     assert taken == ["_count_paths_limbs", "_count_paths_loop"]
     with pytest.raises(ValueError, match="nonnegative"):
         count_paths(large, -1)
-    doubled = PointedLabeledGraph(large.vertices, large.edges + ((0, 1, 0),), 0)
-    assert not doubled.right_resolving
     with pytest.raises(ValueError, match="right-resolving"):
-        count_paths(doubled, 10)
-
-
-def test_reachable_set_follows_every_edge():
-    # vertex 0 reads 0 into both 1 and 2; out[0] keeps only one of them
-    g = PointedLabeledGraph([(0,), (1,), (2,), (3,)],
-                            [(0, 1, 0), (0, 2, 0), (1, 1, 0), (2, 2, 0), (3, 0, 0)], 0)
-    assert not g.right_resolving
-    assert g.reachable_set() == {0, 1, 2}
-    assert not validate(g).reachable
+        PointedLabeledGraph(large.vertices, large.edges + ((0, 1, 0),), 0)
 
 
 def test_validate_flags_stranded_vertex():
@@ -342,13 +337,48 @@ def test_validate_flags_sink():
     assert not rep.essential
 
 
-def test_constructor_rejects_garbage():
-    with pytest.raises(ValueError):
-        PointedLabeledGraph(vertices=((0,),), edges=((0, 3, 0),), start=0)
-    with pytest.raises(ValueError):
-        PointedLabeledGraph(vertices=((0,),), edges=((0, 0, 7),), start=0)
-    with pytest.raises(ValueError):
-        PointedLabeledGraph(vertices=((0,),), edges=(), start=2)
+@pytest.mark.parametrize("edges, start, message", [
+    pytest.param(((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)), 0,
+                 "vertex 1 has two edges labeled 1; a presentation must be right-resolving",
+                 id="duplicate-label"),
+    pytest.param(((0, 3, 0),), 0, r"edge \(0,3,0\) references a missing vertex",
+                 id="missing-vertex"),
+    pytest.param(((0, 0, 3),), 0, "edge label 3 outside the alphabet", id="label-3"),
+    pytest.param(((0, 0, 7),), 0, "edge label 7 outside the alphabet", id="label-7"),
+    pytest.param((), 2, "start vertex 2 out of range", id="bad-start"),
+])
+def test_constructor_rejects_garbage(edges, start, message):
+    with pytest.raises(ValueError, match=message):
+        PointedLabeledGraph(vertices=((0,), (1,)), edges=edges, start=start)
+
+
+def test_constructor_converts_edges_to_int():
+    # edges reach repr-based digests, so numpy scalars must not leak in
+    g = PointedLabeledGraph([(0,)], np.array([(0, 0, 0), (0, 0, 1)]), 0)
+    assert repr(g.edges) == "((0, 0, 0), (0, 0, 1))"
+    assert g.out == ({0: 0, 1: 0},)
+
+
+def _residue_1(bound):
+    return st.integers(min_value=1, max_value=bound - 1).filter(
+        lambda m: normalize(m).residue == 1)
+
+
+def _assert_round_trips(g):
+    h = PointedLabeledGraph(g.vertices, g.edges, g.start, g.provenance)
+    assert (h.vertices, h.edges, h.out, h.start, h.provenance) == (
+        g.vertices, g.edges, g.out, g.start, g.provenance)
+    assert g.edges == tuple(sorted(g.edges, key=lambda e: (e[0], e[2])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_residue_1(3**5), min_size=1, max_size=3))
+def test_checked_constructor_reproduces_builder_tables(ms):
+    # the builders' unchecked tables pass the checked constructor unchanged
+    _assert_round_trips(build_multi(ms))
+    _assert_round_trips(build_multi_direct(ms))
+    _assert_round_trips(reachable_product(build_single(ms[0]), build_single(ms[-1])))
+    _assert_round_trips(Y_graph())
 
 
 def test_max_vertices_refusal():

@@ -54,6 +54,10 @@ def test_refusal_exit_code(capsys):
     assert "refused" in err
     code, _, err = run(capsys, "blocks", "7", "--n", "30")
     assert code == 2
+    # the extension probe would walk 81 270 carry states past each word
+    code, out, err = run(capsys, "blocks", "82,85,88", "--n", "6", "--extendable")
+    assert code == 2
+    assert out == "" and "4096 carry states, got 81270" in err
 
 
 def test_blocks_output(capsys):
@@ -80,6 +84,60 @@ def test_export_dot_and_y(capsys):
     assert "doublecircle" in out
     code, out, _ = run(capsys, "export", "Y", "--json")
     assert json.loads(out)["provenance"] == "Y"
+
+
+# Export output pinned byte for byte: vertex order, edge order and layout
+# are what every later change must keep. The JSON literals are compact and
+# re-rendered with the export's own indentation.
+EXPORT_7_19_JSON = (
+    '{"start":0,"vertices":[{"id":0,"carries":[0,0]},{"id":1,"carries":[2,6]},'
+    '{"id":2,"carries":[3,8]},{"id":3,"carries":[3,9]},{"id":4,"carries":[1,3]},'
+    '{"id":5,"carries":[0,1]}],"edges":[{"from":0,"to":0,"label":0},'
+    '{"from":0,"to":1,"label":1},{"from":1,"to":2,"label":1},{"from":2,"to":3,"label":1},'
+    '{"from":3,"to":4,"label":0},{"from":3,"to":3,"label":1},{"from":4,"to":5,"label":0},'
+    '{"from":5,"to":0,"label":0}],"provenance":"product(carry(7), carry(19))"}'
+)
+EXPORT_Y_JSON = (
+    '{"start":0,"vertices":[{"id":0,"carries":[0]},{"id":1,"carries":[1]}],'
+    '"edges":[{"from":0,"to":1,"label":0},{"from":0,"to":1,"label":1},'
+    '{"from":1,"to":0,"label":0}],"provenance":"Y"}'
+)
+EXPORT_19_DOT = """\
+digraph presentation {
+  rankdir=LR;
+  v0 [label="0", shape=doublecircle];
+  v1 [label="20", shape=circle];
+  v2 [label="2", shape=circle];
+  v3 [label="22", shape=circle];
+  v4 [label="21", shape=circle];
+  v5 [label="100", shape=circle];
+  v6 [label="10", shape=circle];
+  v7 [label="1", shape=circle];
+  v0 -> v0 [label="0"];
+  v0 -> v1 [label="1"];
+  v1 -> v2 [label="0"];
+  v1 -> v3 [label="1"];
+  v2 -> v4 [label="1"];
+  v3 -> v5 [label="1"];
+  v4 -> v2 [label="0"];
+  v5 -> v6 [label="0"];
+  v5 -> v5 [label="1"];
+  v6 -> v7 [label="0"];
+  v6 -> v4 [label="1"];
+  v7 -> v0 [label="0"];
+}
+"""
+
+
+@pytest.mark.parametrize("spec, fmt, want", [
+    ("7,19", "--json", json.dumps(json.loads(EXPORT_7_19_JSON), indent=2) + "\n"),
+    ("19", "--dot", EXPORT_19_DOT),
+    ("Y", "--json", json.dumps(json.loads(EXPORT_Y_JSON), indent=2) + "\n"),
+])
+def test_export_is_byte_identical(capsys, spec, fmt, want):
+    code, out, _ = run(capsys, "export", spec, fmt)
+    assert code == 0
+    assert out == want
 
 
 def test_export_requires_exactly_one_format(capsys):

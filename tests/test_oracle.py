@@ -19,6 +19,7 @@ from cantor3 import (
 from cantor3.families import PHI
 from cantor3.oracle import (
     INT64_MAX,
+    PROBE_LIMIT,
     RETURN_LIMIT,
     SLICE,
     first_return_counts,
@@ -105,6 +106,13 @@ def test_refusals_and_input_checks():
         brute_count([5], 3)
     with pytest.raises(ValueError):
         brute_count([0], 3)
+
+
+def test_extension_probe_cap():
+    # V = prod(1 + M div 2): 8191 sits on the cap, 8194 just past it
+    assert brute_count_extendable([8191], 2) == count_paths(build_multi([8191]), 2)
+    with pytest.raises(RefusalError, match=f"limited to {PROBE_LIMIT} carry states, got 4098"):
+        brute_count_extendable([8194], 1)
 
 
 def test_limit_override():
