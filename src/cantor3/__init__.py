@@ -32,7 +32,6 @@ from .spectral import (
     char_poly,
     char_poly_dim,
     hausdorff_dim,
-    largest_real_root,
     scc,
 )
 from .ternary import (

@@ -33,7 +33,7 @@ from .families import (
 )
 from .langops import is_subset, pointed_isomorphic
 from .oracle import brute_count, brute_count_extendable, return_word_bound
-from .spectral import CharPoly, adjacency, char_poly, hausdorff_dim, largest_real_root, log3, scc
+from .spectral import adjacency, char_poly, hausdorff_dim, largest_root_bracket, log3, scc
 from .ternary import FamilyId, family_value, normalize, to_ternary
 
 SAMPLE_SEED = 20260819
@@ -409,7 +409,8 @@ def check_digit_criteria() -> CheckResult:
 def check_pair_4_256_root() -> CheckResult:
     d_single = hausdorff_dim(build_single(4)).dim
     d_pair = hausdorff_dim(build_multi([4, 256])).dim
-    root = largest_real_root(CharPoly((-1, 0, 0, 0, 0, -1, 1)), 1.0, 2.0)
+    lo, hi, k = largest_root_bracket((-1, 0, 0, 0, 0, -1, 1))
+    root = (lo + hi) / (2 << k)
     ok = (
         abs(d_single - log3(PHI)) <= 1e-6
         and abs(d_pair - 0.228392) <= 1e-5

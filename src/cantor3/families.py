@@ -9,10 +9,11 @@ generable and computable but carries no closed form here.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .automaton import PointedLabeledGraph
 from .errors import RefusalError
-from .spectral import largest_real_root, log3
+from .spectral import largest_root_bracket, log3
 from .ternary import FamilyId
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -37,11 +38,16 @@ def L_poly(k: int) -> tuple[int, ...]:
     return (-1,) + (0,) * (k - 2) + (-1, 1)
 
 
+def _L_root(k: int) -> tuple[Fraction, Fraction]:
+    """Exact bracket of width <= 2^-40 on the largest root of x^k - x^(k-1) - 1."""
+    lo, hi, e = largest_root_bracket(L_poly(k))
+    return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
+
+
 def expect_L(k: int) -> FamilyExpectation:
     """k vertices, one component, Perron root of x^k - x^(k-1) - 1."""
-    poly = L_poly(k)
-    beta = largest_real_root(poly, 1.0, 2.0)
-    return FamilyExpectation(FamilyId("L", k), log3(beta), k, 1, poly)
+    lo, hi = _L_root(k)
+    return FamilyExpectation(FamilyId("L", k), log3(float((lo + hi) / 2)), k, 1, L_poly(k))
 
 
 def expect_N(k: int, cap: int = N_CAP) -> FamilyExpectation:
@@ -75,10 +81,10 @@ def check_L_bounds(k: int) -> bool:
     """1 + ln(k)/k - 2 ln(ln(k))/k <= beta_k <= 1 + ln(k)/k, stated for k >= 6."""
     if k < 6:
         raise ValueError(f"the bounds are stated for k >= 6, got {k}")
-    beta = largest_real_root(L_poly(k), 1.0, 2.0)
+    lo, hi = _L_root(k)
     upper = 1.0 + math.log(k) / k
     lower = upper - 2.0 * math.log(math.log(k)) / k
-    return lower <= beta <= upper
+    return lower <= lo and hi <= upper  # the whole bracket, compared exactly
 
 
 def Y_graph() -> PointedLabeledGraph:

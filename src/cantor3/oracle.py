@@ -107,35 +107,50 @@ def brute_count(ms, n: int, limit: int = DEFAULT_LIMIT) -> int:
 def brute_count_extendable(ms, n: int, limit: int = DEFAULT_LIMIT) -> int:
     """Count admissible length-n words with a guaranteed infinite continuation.
 
-    A word extending to length n + V, where V bounds the number of distinct
-    pending-carry states (at most prod(1 + M div 2) per the division
-    M*x = settled digits + carry * 3^len), must revisit a state and can
-    therefore loop forever. The limit applies to n; the extension search is
-    a depth-first probe with early exit at depth n + V. Each probe walks
-    words of n + V digits (on a 2-vCPU Xeon about 11 ms per word at
-    V = 4096 and 2 s at V = 65 536), so V above PROBE_LIMIT is refused
-    before anything is enumerated.
+    Whether a word continues depends only on its pending carries, the
+    vector of M*x div 3^n: every later digit of M*x is a digit of that
+    carry plus M times the continuation. V = prod(1 + M div 2) bounds the
+    number of distinct carry vectors, so a continuation of V digits must
+    revisit one and can therefore loop forever. The limit applies to n;
+    each distinct carry vector is probed once per call, depth-first to
+    depth V, and a probe never expands the same (carries, depth) twice, so
+    it costs at most V * (V + 1) steps. A probe also stops at a carry
+    vector an earlier probe settled. V above PROBE_LIMIT is refused before
+    anything is enumerated.
     """
     values = _checked(ms, n, limit)
     V = math.prod(1 + M // 2 for M in values)
     if V > PROBE_LIMIT:
         raise RefusalError(
             f"extension probe limited to {PROBE_LIMIT} carry states, got {V}")
-    target = n + V
+    known: dict[tuple[int, ...], bool] = {}  # carries -> has an infinite continuation
 
-    def extendable(x0: int, p0: int) -> bool:
-        stack = [(n, x0, p0, 0)]
+    def continues(carries: tuple[int, ...]) -> bool:
+        stack = [(carries, 0)]
+        seen = {stack[0]}
         while stack:
-            pos, x, p3, b = stack.pop()
-            if pos == target:
+            cs, depth = stack.pop()
+            if depth == V:
                 return True
-            if b > 1:
+            if depth and cs in known:
+                # an infinite continuation passes only through carries that have one
+                if known[cs]:
+                    return True
                 continue
-            stack.append((pos, x, p3, b + 1))
-            x2 = x + b * p3
-            if all((M * x2 // p3) % 3 <= 1 for M in values):
-                stack.append((pos + 1, x2, p3 * 3, 0))
+            for b in (1, 0):  # digit 0 is tried first
+                ts = [c + M * b for c, M in zip(cs, values)]
+                if all(t % 3 <= 1 for t in ts):
+                    nxt = (tuple(t // 3 for t in ts), depth + 1)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
         return False
+
+    def extendable(x: int, p3: int) -> bool:
+        carries = tuple(M * x // p3 for M in values)
+        if carries not in known:
+            known[carries] = continues(carries)
+        return known[carries]
 
     return _count(values, n, extendable)
 

@@ -4,15 +4,19 @@ The Hausdorff dimension of the fractal presented by a pointed graph is
 log_3 of the spectral radius of the adjacency matrix, and the radius is the
 maximum over strongly connected components. Everything here reads the
 graph's edge list directly. Components that are bare cycles (or a lone
-vertex, with or without loops) are handled exactly; everything else goes
-through power iteration on the shifted matrix A + I, which is primitive
-whenever A is irreducible. Its Collatz-Wielandt quotients bracket the root
-from both sides at every step, but they are computed in floating point, so
-the bracket is an estimate that rounding can break, not a proof.
+vertex, with or without loops) are handled exactly. Every other component
+gets a positive vector v from the shifted matrix A + I, which is primitive
+whenever A is irreducible: by repeated squaring of the dense matrix up to
+DENSE_COMPONENT_LIMIT vertices, by sparse power iteration above. The
+Collatz-Wielandt quotients (Av)_i / v_i of any positive v bracket the
+Perron root from both sides (Meyer, Matrix Analysis, 8.3); _certify takes
+their min and max in exact integer arithmetic, so the bracket is a proof
+that rounding cannot break, and only its width depends on the vector.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -22,7 +26,10 @@ from .errors import RefusalError
 
 LOG3 = math.log(3.0)
 CHAR_POLY_LIMIT = 64
+DENSE_COMPONENT_LIMIT = 192  # dense squaring up to here, sparse power iteration above
 _MAX_POWER_ITERATIONS = 500_000
+_MAX_SQUARINGS = 64  # 2^64 power steps
+_DENSE_GAP_FACTOR = 1e-3  # dense squaring stops at a float gap of tol times this
 
 
 def log3(x: float) -> float:
@@ -39,22 +46,29 @@ class SccDecomposition:
 
 @dataclass(frozen=True)
 class DimensionResult:
-    """beta and dim = log_3 beta, with the half-width of the bracket found.
+    """beta and dim = log_3 beta, certified by an exact rational bracket.
 
-    For power_iteration the bracket is the floating-point Collatz-Wielandt
-    one, for char_poly_root the exact rational bracket, and exact_trivial
-    results have none. scc_count is the number of strongly connected
-    components hausdorff_dim found; char_poly_dim finds none and leaves it
-    None.
+    beta_bracket holds the bracket's ends as (numerator, denominator)
+    pairs, and the true beta lies between them. For dense_squaring and
+    power_iteration it is the exact Collatz-Wielandt bracket of the vector
+    found, for char_poly_root the Sturm bracket, and for exact_trivial it
+    has width zero. beta is the bracket's midpoint; beta_error and
+    error_bound bound |beta - true beta| and |dim - true dim|, rounded
+    outward (a zero-width bracket gives 0, log_3 included). iterations
+    counts the dominant component's squarings or power steps. scc_count is
+    the number of strongly connected components hausdorff_dim found;
+    char_poly_dim finds none and leaves it None.
     """
 
     beta: float
     dim: float
-    method: str  # power_iteration | char_poly_root | exact_trivial
+    method: str  # dense_squaring | power_iteration | char_poly_root | exact_trivial
     error_bound: float  # bound on |dim - true dim| from the bracket
     dominant_component: frozenset[int]
     beta_error: float = 0.0
     scc_count: int | None = None
+    beta_bracket: tuple[tuple[int, int], tuple[int, int]] | None = None
+    iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -66,12 +80,6 @@ class CharPoly:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-    def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
 
     def pretty(self, var: str = "x") -> str:
         terms = []
@@ -161,32 +169,95 @@ def scc(g: PointedLabeledGraph) -> SccDecomposition:
     return SccDecomposition(components=tuple(frozenset(c) for c in _tarjan(_successors(g))))
 
 
-def _power_iteration(edges: list, k: int, tol: float):
-    """Perron radius of one irreducible component and its bracket half-width.
+def _dense_squaring(rows, cols, k: int, tol: float):
+    """Positive vector of one irreducible component, and the squarings taken.
 
-    edges holds (i, j) pairs in the component's local indices 0..k-1.
-    Iterates v -> (A+I)v. The quotients ((A+I)v)_i / v_i enclose the Perron
-    root of A+I from both sides for positive v, and for a primitive matrix
-    they converge; subtracting the shift undoes A -> A+I.
+    rows and cols hold the component's edges in local indices 0..k-1.
+    B = (A + I) / (max row sum) is squared and rescaled by its largest
+    entry, so B stands for (A + I)^(2^s) after s squarings, and v = B 1
+    tends to the Perron vector with the error squared at every step.
+    Stops once the float quotient gap of A at v is far below tol, or is
+    below tol and no longer shrinks (rounding level), and after
+    _MAX_SQUARINGS at the latest; any positive v can be certified.
     """
-    rows = [i for i, _ in edges] + list(range(k))
-    cols = [j for _, j in edges] + list(range(k))
-    B = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(k, k))  # duplicates are summed
+    a = np.bincount(rows * k + cols, minlength=k * k).reshape(k, k).astype(float)
+    b = a + np.eye(k)
+    b /= b.sum(axis=1).max()
+    gap = math.inf
+    for s in range(1, _MAX_SQUARINGS + 1):
+        b = b @ b
+        b /= b.max()
+        v = b.sum(axis=1)
+        ratios = a @ v / v
+        prev, gap = gap, float(ratios.max() - ratios.min())
+        if gap <= tol * _DENSE_GAP_FACTOR or prev <= gap <= tol:
+            break
+    return v, s
+
+
+def _power_iteration(rows, cols, k: int, tol: float):
+    """Positive vector of one irreducible component, and the power steps taken.
+
+    Iterates v -> (A+I)v until the float quotients ((A+I)v)_i / v_i, which
+    converge for a primitive matrix, lie within tol of each other.
+    """
+    diag = np.arange(k)
+    B = csr_matrix((np.ones(len(rows) + k),
+                    (np.concatenate((rows, diag)), np.concatenate((cols, diag)))),
+                   shape=(k, k))  # duplicates are summed
     v = np.ones(k)
-    for _ in range(_MAX_POWER_ITERATIONS):
+    for step in range(_MAX_POWER_ITERATIONS):
         w = B.dot(v)
         ratios = w / v
-        lo = float(ratios.min())
-        hi = float(ratios.max())
-        if hi - lo <= tol:
-            return (lo + hi) / 2.0 - 1.0, (hi - lo) / 2.0
+        if ratios.max() - ratios.min() <= tol:
+            return v, step
         v = w / w.max()
     raise RefusalError(
         f"power iteration did not reach gap {tol} within {_MAX_POWER_ITERATIONS} steps")
 
 
+def _certify(rows, cols, v) -> tuple[Fraction, Fraction]:
+    """Exact min and max of (Av)_i / v_i, which bracket the Perron root of A.
+
+    The Collatz-Wielandt bound holds for every positive v, so this cannot
+    fail; a poor v only widens the bracket. v is scaled to integers
+    x_i = rint(v_i * 2^52 / max v), and w = A x is exact in int64: rows sum
+    to at most 3, so w < 2^54. Where that rounding would zero an entry, x
+    is v scaled exactly to Python ints instead (dtype=object), the
+    int64/object rule of oracle._count. Float quotients pick the
+    candidates for the min and max, and cross-multiplication in Python
+    ints settles them.
+    """
+    v = np.maximum(v, np.finfo(float).tiny)  # an underflowed entry may be raised: any v > 0 will do
+    x = np.rint(v * (2.0**52 / v.max())).astype(np.int64)
+    if not x.min():
+        parts = [f.as_integer_ratio() for f in v.tolist()]  # denominators are powers of 2
+        den = max(d for _, d in parts)
+        x = np.array([n * (den // d) for n, d in parts], dtype=object)
+    w = np.zeros_like(x)
+    np.add.at(w, rows, x[cols])
+    q = (w / x).astype(float)  # each quotient within 2^-51 of the exact one, relatively
+
+    def exact(near, sign):
+        # the extreme of w_i / x_i over the candidates, by cross-multiplication
+        pairs = zip(w[near].tolist(), x[near].tolist())
+        a, b = next(pairs)
+        for c, d in pairs:
+            if (c * b - a * d) * sign > 0:
+                a, b = c, d
+        return Fraction(a, b)
+
+    return (exact(q <= q.min() * (1 + 2.0**-48), -1),
+            exact(q >= q.max() * (1 - 2.0**-48), 1))
+
+
 def _spectral_full(g: PointedLabeledGraph, tol: float):
-    """(beta, beta_error, dominant vertex set, method, component count) over all components."""
+    """Exact bracket (lo, hi) of beta, dominant vertex set, method, iterations, component count.
+
+    Each component gets an exact bracket; beta, the maximum over the
+    components, then lies in [max of the lows, max of the highs]. The
+    dominant component is the one with the largest bracket midpoint.
+    """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     comps = _tarjan(_successors(g))
@@ -201,24 +272,30 @@ def _spectral_full(g: PointedLabeledGraph, tol: float):
         c = comp_of[s]
         if c == comp_of[d]:
             inner[c].append((local[s], local[d]))
-    best_beta = 0.0
-    best_err = 0.0
-    best_comp: tuple = ()
-    best_exact = True
+    lo = hi = Fraction(0)
+    best = None
     for comp, edges in zip(comps, inner):
-        if len(comp) == 1:
+        k = len(comp)
+        if k == 1:
             # every inner edge of a lone vertex is a loop
-            beta_c, err_c, exact = float(len(edges)), 0.0, True
-        elif len(edges) == len(comp):
+            lo_c = hi_c = Fraction(len(edges))
+            method, steps = "exact_trivial", 0
+        elif len(edges) == k:
             # strongly connected with one out-edge per vertex: a bare cycle, radius 1
-            beta_c, err_c, exact = 1.0, 0.0, True
+            lo_c = hi_c = Fraction(1)
+            method, steps = "exact_trivial", 0
         else:
-            beta_c, err_c = _power_iteration(edges, len(comp), tol)
-            exact = False
-        if beta_c > best_beta:
-            best_beta, best_err, best_comp, best_exact = beta_c, err_c, comp, exact
-    method = "exact_trivial" if best_exact else "power_iteration"
-    return best_beta, best_err, tuple(best_comp), method, len(comps)
+            rows, cols = np.array(edges, dtype=np.intp).T
+            if k <= DENSE_COMPONENT_LIMIT:
+                method, (v, steps) = "dense_squaring", _dense_squaring(rows, cols, k, tol)
+            else:
+                method, (v, steps) = "power_iteration", _power_iteration(rows, cols, k, tol)
+            lo_c, hi_c = _certify(rows, cols, v)
+        lo, hi = max(lo, lo_c), max(hi, hi_c)
+        if best is None or lo_c + hi_c > best[0]:
+            best = (lo_c + hi_c, comp, method, steps)
+    _, comp, method, steps = best
+    return lo, hi, tuple(comp), method, steps, len(comps)
 
 
 def char_poly(a: csr_matrix, limit: int = CHAR_POLY_LIMIT) -> CharPoly:
@@ -254,47 +331,52 @@ def _int_matmul(A, B):
     return [[sum(x * y for x, y in zip(row, col)) for col in Bt] for row in A]
 
 
-def largest_real_root(p, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Bisection root of p over [lo, hi]; the bracket must change sign.
+def _dimension(lo: Fraction, hi: Fraction, **fields) -> DimensionResult:
+    """The result for an exact bracket [lo, hi] of beta, with outward-rounded error bounds.
 
-    With the right end beyond every real root (true for the Perron root of
-    the polynomials used here), the sign-change bracket converges to the
-    largest root in the interval.
+    beta is the midpoint rounded to the nearest float. The dimension bounds
+    step four ulps outward from log_3 of the bracket's ends, themselves
+    rounded outward to floats, which covers the rounding of math.log and
+    of the division by ln 3.
     """
-    ev = p if isinstance(p, CharPoly) else CharPoly(tuple(p))
-    flo, fhi = ev(lo), ev(hi)
-    if flo == 0.0 and fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError(f"no bracketed root in [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        fm = ev(mid)
-        if fm == 0.0:
-            lo = mid  # bias upward, we want the largest root
-        elif (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    beta = float((lo + hi) / 2)
+    dim = log3(beta)
+    beta_error = error_bound = 0.0
+    if lo != hi:
+        beta_error = _up(max(hi - Fraction(beta), Fraction(beta) - lo))
+        dim_lo = _step(log3(_step(float(lo), -math.inf)), -math.inf, 4)
+        dim_hi = _step(log3(_step(float(hi), math.inf)), math.inf, 4)
+        error_bound = _step(max(dim - dim_lo, dim_hi - dim), math.inf)
+    return DimensionResult(beta=beta, dim=dim, error_bound=error_bound, beta_error=beta_error,
+                           beta_bracket=(lo.as_integer_ratio(), hi.as_integer_ratio()),
+                           **fields)
+
+
+def _step(x: float, toward: float, ulps: int = 1) -> float:
+    for _ in range(ulps):
+        x = math.nextafter(x, toward)
+    return x
+
+
+def _up(x: Fraction) -> float:
+    """The least float >= x."""
+    f = float(x)
+    return f if f >= x else math.nextafter(f, math.inf)
 
 
 def hausdorff_dim(g: PointedLabeledGraph, tol: float = 1e-9) -> DimensionResult:
-    """log_3 of the Perron eigenvalue of g's adjacency matrix.
+    """log_3 of the Perron eigenvalue of g's adjacency matrix, in an exact bracket.
 
     Requires an essential, reachable presentation (trim first); on anything
     else the dimension formula does not apply. Right-resolving holds by
-    construction.
+    construction. tol is the float quotient gap at which the power
+    iteration stops; dense squaring goes on far below it.
     """
     validate(g).require("presentation")
-    beta, err, comp, method, scc_count = _spectral_full(g, tol)
-    assert beta >= 1.0 - 1e-12, "an essential graph contains a cycle"
-    dim = log3(beta)
-    dim_err = err / ((beta - err) * LOG3) if err else 0.0
-    return DimensionResult(beta=beta, dim=dim, method=method,
-                           error_bound=dim_err,
-                           dominant_component=frozenset(comp),
-                           beta_error=err, scc_count=scc_count)
+    lo, hi, comp, method, steps, scc_count = _spectral_full(g, tol)
+    assert hi >= 1, "an essential graph contains a cycle"
+    return _dimension(lo, hi, method=method, dominant_component=frozenset(comp),
+                      scc_count=scc_count, iterations=steps)
 
 
 def _primitive(p: list) -> list:
@@ -401,8 +483,5 @@ def char_poly_dim(g: PointedLabeledGraph) -> DimensionResult:
     lo, hi, k = largest_root_bracket(char_poly(adjacency(g)).coefficients)
     if hi < 1 << k:
         raise ValueError("graph has no cycle, so no dimension")
-    beta = (lo + hi) / (2 << k)  # int / int rounds correctly
-    width = (hi - lo) / (1 << k)
-    return DimensionResult(beta=beta, dim=log3(beta), method="char_poly_root",
-                           error_bound=width / (max(lo / (1 << k), 1.0) * LOG3),
-                           dominant_component=frozenset(), beta_error=width / 2)
+    return _dimension(Fraction(lo, 1 << k), Fraction(hi, 1 << k), method="char_poly_root",
+                      dominant_component=frozenset())

@@ -30,7 +30,7 @@ def test_dim_examples(capsys):
 def test_dim_precision_flag(capsys):
     code, out, _ = run(capsys, "dim", "7", "--precision", "10")
     assert code == 0
-    assert "beta=1.6180339886" in out
+    assert "beta=1.6180339887" in out  # phi = 1.61803398874989...
 
 
 def test_parse_error_exit_code(capsys):

@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cantor3 import (
     RefusalError,
@@ -128,6 +128,35 @@ def _count_reference(ms, n):
             return 1
         return sum(rec(pos + 1, x2, p3 * 3) for x2 in (x, x + p3)
                    if all((M * x2 // p3) % 3 <= 1 for M in values))
+
+    return rec(0, 0, 1)
+
+
+def _extendable_reference(ms, n):
+    """The per-word probe that the carry-memoized one replaced, kept as the reference.
+
+    Every admissible length-n word is walked depth-first, digit by digit,
+    to n + prod(1 + M div 2) digits.
+    """
+    values = [normalize(m).value for m in ms]
+    target = n + math.prod(1 + M // 2 for M in values)
+
+    def ok(x, p3):
+        return all((M * x // p3) % 3 <= 1 for M in values)
+
+    def probe(x, p3):
+        stack = [(n, x, p3)]
+        while stack:
+            pos, x, p3 = stack.pop()
+            if pos == target:
+                return True
+            stack.extend((pos + 1, x2, p3 * 3) for x2 in (x + p3, x) if ok(x2, p3))
+        return False
+
+    def rec(pos, x, p3):
+        if pos == n:
+            return int(probe(x, p3))
+        return sum(rec(pos + 1, x2, p3 * 3) for x2 in (x, x + p3) if ok(x2, p3))
 
     return rec(0, 0, 1)
 
@@ -262,7 +291,7 @@ def test_brute_count_matches_filter_for_random_tuples(ms, n):
     assert brute_count(ms, n) == _filtered(ms, n)
 
 
-# The extension probe walks every extendable word to depth n + prod(1 + M div 2),
+# The reference probe walks every extendable word to depth n + prod(1 + M div 2),
 # over 10^10 for three multipliers near 3^8, so each tuple size gets its own
 # bound on the multipliers: products of at most 3 281, 1 681 and 2 744.
 _SMALL_PROBE_TUPLES = st.sampled_from([(1, 3**8), (2, 3**4), (3, 3**3)]).flatmap(
@@ -273,3 +302,16 @@ _SMALL_PROBE_TUPLES = st.sampled_from([(1, 3**8), (2, 3**4), (3, 3**3)]).flatmap
 @given(_SMALL_PROBE_TUPLES, st.integers(min_value=0, max_value=9))
 def test_extendable_matches_automaton_for_random_tuples(ms, n):
     assert brute_count_extendable(ms, n) == count_paths(build_multi(ms), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SMALL_PROBE_TUPLES, st.integers(min_value=0, max_value=8))
+@example([7, 55], 3)  # a probe passes a dead carry vector and must try the other digit
+@example([4, 49], 5)
+def test_extendable_matches_per_word_probe(ms, n):
+    assert brute_count_extendable(ms, n) == _extendable_reference(ms, n)
+
+
+def test_extendable_reuses_probes_across_words():
+    # V = 366; the 15 625 extendable words at n = 18 share far fewer carry vectors
+    assert [brute_count_extendable([730], n) for n in (16, 17, 18)] == [5625, 9375, 15625]

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import cantor3.spectral as spectral
 from cantor3 import (
-    CharPoly,
+    PointedLabeledGraph,
     RefusalError,
     adjacency,
     build_multi,
@@ -14,12 +16,34 @@ from cantor3 import (
     char_poly_dim,
     count_paths,
     hausdorff_dim,
-    largest_real_root,
     scc,
 )
 from cantor3.families import PHI
-from cantor3.spectral import largest_root_bracket, log3
+from cantor3.spectral import DENSE_COMPONENT_LIMIT, largest_root_bracket, log3
 from cantor3.ternary import FamilyId, family_value
+
+
+def _value(coeffs, x):
+    """p(x) for ascending integer coefficients, exact for int and Fraction x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _bracket(r):
+    (a, b), (c, d) = r.beta_bracket
+    return Fraction(a, b), Fraction(c, d)
+
+
+def _chorded_cycle(k):
+    """One component of k vertices: the cycle i -> i + 1 and chords i -> 3i for 3 | i."""
+    edges = []
+    for i in range(k):
+        edges.append((i, (i + 1) % k, 0))
+        if i % 3 == 0:
+            edges.append((i, 3 * i % k, 1))
+    return PointedLabeledGraph([(i,) for i in range(k)], edges, 0)
 
 
 def test_adjacency_example_7():
@@ -58,7 +82,8 @@ def test_dimension_results():
     r = hausdorff_dim(build_single(7))
     assert abs(r.beta - PHI) <= 1e-8
     assert abs(r.dim - log3(PHI)) <= 1e-8
-    assert r.method == "power_iteration"
+    assert r.method == "dense_squaring"
+    assert r.iterations > 0
     r43 = hausdorff_dim(build_single(43))
     assert r43.beta == 1.0
     assert r43.dim == 0.0
@@ -91,7 +116,7 @@ def test_char_poly_matches_numpy_determinant():
         dense = a.toarray().astype(float)
         for x in (-2, -1, 0, 1, 2, 3):
             det = float(np.linalg.det(x * np.eye(a.shape[0]) - dense))
-            assert abs(p(x) - det) <= 1e-6 * max(1.0, abs(det))
+            assert abs(_value(p.coefficients, x) - det) <= 1e-6 * max(1.0, abs(det))
 
 
 def test_char_poly_refusal_above_limit():
@@ -105,16 +130,9 @@ def test_char_poly_vanishes_at_perron_root():
         g = build_multi(spec)
         if g.n > 64:
             continue
-        r = hausdorff_dim(g)
-        p = char_poly(adjacency(g))
-        assert abs(p(r.beta)) <= 1e-6 * (p.degree + 1)
-
-
-def test_largest_real_root():
-    assert abs(largest_real_root(CharPoly((-1, -1, 1)), 1.0, 2.0) - PHI) <= 1e-11
-    assert largest_real_root((-1, 0, 1), 0.5, 2.0) == pytest.approx(1.0, abs=1e-11)
-    with pytest.raises(ValueError):
-        largest_real_root(CharPoly((1, 0, 1)), 0.0, 2.0)  # x^2 + 1 has no real root
+        lo, hi = _bracket(hausdorff_dim(g))
+        p = char_poly(adjacency(g)).coefficients
+        assert _value(p, lo) * _value(p, hi) <= 0, spec  # a root in [lo, hi], exactly
 
 
 def test_char_poly_dim_agrees_with_power_iteration():
@@ -137,6 +155,8 @@ def test_largest_root_bracket_is_exact():
     assert lo * lo - lo - 1 < 0 < hi * hi - hi - 1
     assert 0 < hi - lo <= Fraction(1, 2**40)
     assert largest_root_bracket((0, 0, 1))[:2] == (0, 0)
+    lo, hi, k = largest_root_bracket((-1, 0, 1))  # x^2 - 1: the larger root 1
+    assert lo == hi == 1 << k
     with pytest.raises(ValueError):
         largest_root_bracket((1, 0, 1))  # x^2 + 1 has no real root
 
@@ -200,6 +220,91 @@ def test_rejects_sinks_and_unreachable_vertices(edges, failed):
 
 def test_error_bound_is_small_and_honest():
     for spec in ([7], [19], [7, 19]):
-        r = hausdorff_dim(build_multi(spec))
+        g = build_multi(spec)
+        r, c = hausdorff_dim(g), char_poly_dim(g)
         assert 0.0 <= r.error_bound <= 1e-8
-        assert abs(char_poly_dim(build_multi(spec)).dim - r.dim) <= r.error_bound + 1e-10
+        lo, hi = _bracket(r)
+        c_lo, c_hi = _bracket(c)
+        assert lo <= c_hi and c_lo <= hi  # the two exact brackets overlap
+        beta, err = Fraction(r.beta), Fraction(r.beta_error)
+        assert beta - err <= lo <= hi <= beta + err
+        # both dims are certified within their bounds of the same true dimension
+        assert abs(c.dim - r.dim) <= r.error_bound + c.error_bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=3**4).filter(lambda m: m % 3 == 1),
+                min_size=1, max_size=2))
+def test_collatz_wielandt_bracket_overlaps_sturm_bracket(ms):
+    g = build_multi(ms)
+    assume(g.n <= 32)  # char_poly is cubic per step in Python ints
+    r = hausdorff_dim(g)
+    lo, hi = _bracket(r)
+    c_lo, c_hi = _bracket(char_poly_dim(g))
+    assert lo <= c_hi and c_lo <= hi, (ms, r.method)
+    assert r.method == "exact_trivial" or hi - lo <= Fraction(1, 10**12)
+
+
+@pytest.mark.parametrize("k, method", [
+    (DENSE_COMPONENT_LIMIT, "dense_squaring"),
+    (DENSE_COMPONENT_LIMIT + 1, "power_iteration"),
+])
+def test_bracket_holds_on_both_sides_of_the_cutoff(k, method):
+    g = _chorded_cycle(k)
+    r = hausdorff_dim(g)
+    assert r.method == method and len(r.dominant_component) == k
+    lo, hi = _bracket(r)
+    # LAPACK's root is itself off by some 1e-15, more than the dense bracket's width
+    lapack = max(abs(np.linalg.eigvals(adjacency(g).toarray().astype(float))))
+    assert lo - Fraction(1, 10**12) <= Fraction(lapack) <= hi + Fraction(1, 10**12)
+    # the vector of the other path certifies a bracket that overlaps this one
+    e = np.array(g.edges)
+    rows, cols = e[:, 0], e[:, 1]
+    other = spectral._power_iteration if method == "dense_squaring" else spectral._dense_squaring
+    o_lo, o_hi = spectral._certify(rows, cols, other(rows, cols, k, 1e-9)[0])
+    assert lo <= o_hi and o_lo <= hi
+
+
+def test_large_component_is_certified():
+    g = build_single(family_value(FamilyId("N", 8)))  # one component of 256 vertices
+    r = hausdorff_dim(g)
+    assert r.method == "power_iteration" and len(r.dominant_component) == 256
+    lo, hi = _bracket(r)
+    assert lo * lo - lo - 1 <= 0 <= hi * hi - hi - 1  # phi lies in [lo, hi]
+    assert Fraction(r.beta) - Fraction(r.beta_error) <= lo
+
+
+def test_power_iteration_cap_only_above_the_cutoff(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_POWER_ITERATIONS", 1)
+    assert hausdorff_dim(_chorded_cycle(DENSE_COMPONENT_LIMIT)).method == "dense_squaring"
+    with pytest.raises(RefusalError, match="power iteration"):
+        hausdorff_dim(_chorded_cycle(DENSE_COMPONENT_LIMIT + 1))
+
+
+def test_certify_takes_the_exact_quotient_extremes():
+    g = _chorded_cycle(40)
+    e = np.array(g.edges)
+    rows, cols = e[:, 0], e[:, 1]
+    rng = np.random.default_rng(7)
+    converged = spectral._dense_squaring(rows, cols, 40, 1e-9)[0]
+    # integer vectors with max 2^52 are scaled by exactly 1; the converged one
+    # has quotients equal to within float resolution
+    vectors = [rng.integers(1, 2**52, size=40, endpoint=True) for _ in range(10)]
+    vectors.append(np.rint(converged * (2.0**52 / converged.max())).astype(np.int64))
+    for x in vectors:
+        x[np.argmax(x)] = 2**52
+        w = [0] * 40
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            w[i] += int(x[j])
+        q = [Fraction(w[i], int(x[i])) for i in range(40)]
+        assert spectral._certify(rows, cols, x.astype(float)) == (min(q), max(q))
+
+
+def test_certify_scales_exactly_when_int64_would_zero_an_entry():
+    e = np.array(build_single(7).edges)  # one component, Perron root phi
+    rows, cols = e[:, 0], e[:, 1]
+    v = np.ones(4)
+    v[2] = 2.0**-60  # rint(v_2 * 2^52) would be 0
+    lo, hi = spectral._certify(rows, cols, v)
+    assert lo < hi
+    assert lo * lo - lo - 1 <= 0 <= hi * hi - hi - 1
