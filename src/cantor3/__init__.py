@@ -7,8 +7,6 @@ from .automaton import (
     build_multi_direct,
     build_single,
     count_paths,
-    label_product,
-    reachable_product,
     to_dot,
     to_json,
     trim_essential,

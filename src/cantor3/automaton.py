@@ -6,17 +6,32 @@ set presented is all infinite label sequences of walks from the start.
 Every presentation is right-resolving: at most one edge per label leaves
 each vertex, so a word read from the start follows one path.
 
+A presentation is an array. Its label table delta[v, a] is the vertex
+reached from v by the edge labeled a, or -1 when v has no such edge; one
+cell holds one destination, so right-resolving is a property of the
+representation, not something to check. carries[v] is the carry vector
+the construction gave vertex v, one entry per multiplier. Vertex and edge
+tuples are views derived from the two tables on first read, for exports,
+characteristic polynomials and tests; the hot layers (path counts,
+spectra, language comparisons) read delta.
+
 The carry construction reads a candidate digit word least-significant digit
 first. For each multiplier M it tracks the pending high part N (the carry)
 of M times the consumed prefix. Appending digit a settles exactly one new
 digit of the product, (a + N) mod 3 when M is 1 mod 3, so a is admissible
 precisely when that digit stays in {0,1}; the carry becomes (N + M*a) div 3
-and never exceeds floor(M/2). Intersections come from the label product,
-which pairs up edges with equal labels.
+and never exceeds floor(M/2). An intersection tracks one carry per
+multiplier and admits a digit that every multiplier admits.
+
+The construction is one breadth-first search over carry vectors, level by
+level, with each vertex's children in label order. Levels at least
+NUMPY_LEVEL_WIDTH wide are stepped in numpy, narrower ones in Python; both
+number new carry vectors in order of first occurrence, so the vertex order
+is the same either way.
 """
 
 import json
-from collections import deque
+import math
 from dataclasses import dataclass
 from math import prod
 
@@ -28,77 +43,147 @@ from .ternary import Multiplier, normalize, render_ternary
 
 DEFAULT_MAX_VERTICES = 2_000_000
 
+# Levels of the carry search at least this wide are stepped in numpy, with
+# a sorted array of the carry vectors seen so far; narrower levels run a
+# per-vertex Python loop over a dict. A numpy level costs about 130 us
+# before any vertex, so it loses on narrow levels; the value is the
+# measured crossover, see README "Construction".
+NUMPY_LEVEL_WIDTH = 128
+
+# Carry vectors are keyed by one mixed-radix integer. In numpy that key, and
+# every carry plus its multiplier, must stay below 2^62; larger multipliers
+# are stepped in Python ints, the int64/object rule of oracle._count.
+_KEY_LIMIT = 1 << 62
+
+
+def _int_array(rows, width: int) -> np.ndarray:
+    """rows as an (n, width) int64 array, or a Python-int object array past int64."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(-1, width)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(-1, width)
+
+
+def _join(chunks: list) -> np.ndarray:
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
 
 class PointedLabeledGraph:
     """Immutable pointed presentation, right-resolving by construction.
 
-    vertices[i] is the carry vector of vertex i (a tuple of nonnegative
-    ints, one per multiplier). out[v] is v's label table: it maps the label
-    of each edge leaving v to that edge's destination. A dict holds one
-    destination per label, so no graph can have two edges with one label
-    leaving one vertex. edges lists the same edges as (src, dst, label)
-    triples: in the caller's order for a graph built from an edge list, and
-    source by source in table order for a graph made from tables. Every
-    builder fills its rows in ascending label order; trim_essential keeps
-    the row order of its input.
+    delta is the (n, 3) int32 label table: delta[v, a] is the destination
+    of the edge labeled a leaving v, or -1. carries is the (n, r) carry
+    matrix, int64, or dtype=object where a carry passes int64. start is the
+    start vertex and provenance says how the graph was made.
 
-    The constructor takes an edge list from outside and checks it once;
-    builders hand over their tables through the unchecked _from_table.
+    vertices (the carry vectors as int tuples), edges ((src, dst, label)
+    triples, source by source in label order), successors (destinations
+    per vertex in label order) and edge_arrays() are views computed from
+    the tables on first read and kept.
+
+    The constructor takes an edge list from outside, checks it once and
+    finds out once whether every vertex is reachable from the start;
+    builders hand over their tables through the unchecked _make, and know
+    that from their own breadth-first order. Whether every vertex has an
+    edge out is known from construction too, or looked up once by validate.
     """
 
-    __slots__ = ("vertices", "out", "edges", "start", "provenance")
+    __slots__ = ("delta", "carries", "start", "provenance", "_reachable", "_essential", "_views")
 
     def __init__(self, vertices, edges, start, provenance=""):
-        self.vertices = tuple(tuple(v) for v in vertices)
-        n = len(self.vertices)
+        rows = [tuple(v) for v in vertices]
+        n = len(rows)
         if not 0 <= start < n:
             raise ValueError(f"start vertex {start} out of range")
-        out = [{} for _ in range(n)]
-        checked = []
+        table = [[-1, -1, -1] for _ in range(n)]
         for s, d, a in edges:
             s, d, a = int(s), int(d), int(a)
             if not (0 <= s < n and 0 <= d < n):
                 raise ValueError(f"edge ({s},{d},{a}) references a missing vertex")
             if a not in (0, 1, 2):
                 raise ValueError(f"edge label {a} outside the alphabet {{0,1,2}}")
-            if a in out[s]:
+            if table[s][a] >= 0:
                 raise ValueError(f"vertex {s} has two edges labeled {a};"
                                  " a presentation must be right-resolving")
-            out[s][a] = d
-            checked.append((s, d, a))
-        self.out = tuple(out)
-        self.start = start
-        self.provenance = provenance
-        self.edges = tuple(checked)
+            table[s][a] = d
+        self._fill(np.array(table, dtype=np.int32), _int_array(rows, len(rows[0])),
+                   int(start), provenance, None)
+        self._reachable = len(self.reachable_set()) == n
+
+    def _fill(self, delta, carries, start, provenance, essential):
+        self.delta, self.carries, self.start, self.provenance = delta, carries, start, provenance
+        self._reachable, self._essential, self._views = True, essential, {}
 
     @classmethod
-    def _from_table(cls, vertices: tuple, out: tuple, start: int,
-                    provenance: str) -> "PointedLabeledGraph":
-        """A builder's own tables, unchecked: one row per vertex, in vertex order."""
+    def _make(cls, delta: np.ndarray, carries: np.ndarray, start: int, provenance: str,
+              essential: bool | None = None) -> "PointedLabeledGraph":
+        """A builder's own tables, unchecked, every vertex reachable from the start.
+
+        essential is True when the builder knows it, None when validate
+        should look.
+        """
         g = cls.__new__(cls)
-        g.vertices, g.out, g.start, g.provenance = vertices, out, start, provenance
-        g.edges = tuple((s, d, a) for s, row in enumerate(out) for a, d in row.items())
+        g._fill(delta, carries, start, provenance, essential)
         return g
+
+    def _view(self, name: str, make):
+        view = self._views.get(name)
+        if view is None:
+            view = self._views[name] = make()
+        return view
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return self.delta.shape[0]
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edge_arrays()[0])
+
+    @property
+    def vertices(self) -> tuple:
+        return self._view("vertices", lambda: tuple(map(tuple, self.carries.tolist())))
+
+    @property
+    def edges(self) -> tuple:
+        return self._view("edges", lambda: tuple(zip(*(a.tolist() for a in self.edge_arrays()))))
+
+    @property
+    def successors(self) -> list[list[int]]:
+        """Destinations per vertex in label order, for the Python graph walks."""
+        def make():
+            src, dst, _ = self.edge_arrays()  # source by source
+            ends = np.cumsum(np.bincount(src, minlength=self.n)).tolist()
+            flat = dst.tolist()
+            return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+        return self._view("successors", make)
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(src, dst, label) index arrays, source by source in label order."""
+        def make():
+            has = self.delta >= 0
+            src, lab = has.nonzero()
+            return src, self.delta[has], lab
+
+        return self._view("arrays", make)
 
     def reachable_set(self) -> set[int]:
-        """Vertices reachable from the start, by BFS over the label tables."""
+        """Vertices reachable from the start, by BFS over the label table."""
+        succ = self.successors
         seen = [False] * self.n
         seen[self.start] = True
         order = [self.start]
         for v in order:  # the BFS queue: appended to while it is walked
-            for w in self.out[v].values():
+            for w in succ[v]:
                 if not seen[w]:
                     seen[w] = True
                     order.append(w)
         return set(order)
 
     def __repr__(self):
-        return (f"PointedLabeledGraph({self.n} vertices, {len(self.edges)} edges, "
-                f"start={self.start}, {self.provenance!r})")
+        return (f"PointedLabeledGraph({self.n} vertices, {self.edge_count} edges,"
+                f" start={self.start}, {self.provenance!r})")
 
 
 @dataclass(frozen=True)
@@ -130,78 +215,196 @@ def _as_multiplier(m) -> Multiplier:
 def _trivial_graph(values) -> PointedLabeledGraph:
     # only the zero word survives: one vertex, one 0-labeled loop
     desc = ",".join(str(v) for v in values)
-    return PointedLabeledGraph._from_table(((0,),), ({0: 0},), 0, f"trivial({desc})")
+    return PointedLabeledGraph._make(np.array([[0, -1, -1]], dtype=np.int32),
+                                     np.zeros((1, 1), dtype=np.int64), 0, f"trivial({desc})", True)
+
+
+class _CarrySearch:
+    """Breadth-first search over the carry vectors of `values`, level by level.
+
+    A carry vector (N_1, ..., N_r) is keyed by the mixed-radix integer
+    sum N_j * stride_j with digit j in 0..M_j div 2, or, where that key
+    would pass int64, by the carry itself (one multiplier) or the tuple of
+    carries (several), which only the Python steps see. Every vertex's children
+    come in label order and the new keys of a level are numbered in order
+    of first occurrence, in the Python steps (a dict of keys) and the numpy
+    steps (a sorted key array, merged once per level) alike. Each side's
+    index is brought up to date only when the search switches to it.
+    """
+
+    def __init__(self, values, max_vertices, what):
+        self.values, self.max_vertices, self.what = values, max_vertices, what
+        self.bases = [1 + M // 2 for M in values]
+        self.strides = [prod(self.bases[:j]) for j in range(len(values))]
+        self.numeric = prod(self.bases) < _KEY_LIMIT and max(values) < _KEY_LIMIT
+        start = 0 if self.numeric or len(values) == 1 else (0,) * len(values)
+        self.n = 1
+        self.rows = []  # Python-step table cells, flat, not yet in row_chunks
+        self.keys = [start]  # Python-step keys not yet in key_chunks
+        self.row_chunks, self.key_chunks = [], []
+        self.index, self.index_upto = {start: 0}, 1  # dict of keys for vertices < index_upto
+        self.sorted_keys = self.sorted_ids = None  # the same for the numpy steps
+        self.sorted_upto = 0
+
+    def refuse(self):
+        raise RefusalError(f"carry automaton for {self.what} exceeds {self.max_vertices} vertices")
+
+    def run(self) -> tuple[np.ndarray, np.ndarray]:
+        level = self.keys[:]  # keys of the current level, a list or an int64 array
+        while len(level):
+            if self.numeric and len(level) >= NUMPY_LEVEL_WIDTH:
+                level = self.numpy_level(np.asarray(level, dtype=np.int64))
+            else:
+                level = self.python_levels(level if isinstance(level, list) else level.tolist())
+        self.flush()
+        return _join(self.row_chunks), self.carries(_join(self.key_chunks))
+
+    def flush(self):
+        """Move the pending Python rows and keys into the chunk lists."""
+        if self.keys:
+            self.key_chunks.append(np.array(self.keys, dtype=np.int64 if self.numeric else object))
+            self.keys = []
+        if self.rows:
+            self.row_chunks.append(np.array(self.rows, dtype=np.int32).reshape(-1, 3))
+            self.rows = []
+
+    def carries(self, keys: np.ndarray) -> np.ndarray:
+        if not self.numeric:
+            return _int_array(keys.tolist(), len(self.values))
+        if len(self.values) == 1:
+            return keys.reshape(-1, 1)
+        return keys[:, None] // np.array(self.strides) % np.array(self.bases)
+
+    def python_levels(self, level: list) -> list:
+        """Step levels narrower than NUMPY_LEVEL_WIDTH; return the first wider one, or []."""
+        if self.index_upto < self.n:
+            self.flush()
+            fresh = _join(self.key_chunks)[self.index_upto:].tolist()
+            self.index.update(zip(fresh, range(self.index_upto, self.n)))
+        index, keys, rows = self.index, self.keys, self.rows
+        cap = self.max_vertices if self.max_vertices is not None else math.inf
+        width = NUMPY_LEVEL_WIDTH if self.numeric else math.inf
+        M = self.values[0] if len(self.values) == 1 else None
+        queue, end = level, len(level)  # the current level ends at queue[end]
+        for i, key in enumerate(queue):  # the BFS queue: appended to while it is walked
+            if i == end:
+                if len(queue) - end >= width:
+                    break
+                end = len(queue)
+            if M is not None:  # one multiplier, inline: a call per vertex costs about 15 %
+                m = key % 3
+                kids = (key // 3 if m <= 1 else None, (key + M) // 3 if m != 1 else None)
+            else:
+                kids = self.kids(key)
+            for c in kids:
+                if c is None:
+                    rows.append(-1)
+                    continue
+                d = index.get(c)
+                if d is None:
+                    if len(index) >= cap:
+                        self.refuse()
+                    d = index[c] = len(index)
+                    keys.append(c)
+                    queue.append(c)
+                rows.append(d)
+            rows.append(-1)  # no carry construction reads label 2
+        else:
+            end = len(queue)
+        self.n = self.index_upto = len(index)
+        return queue[end:]
+
+    def kids(self, key) -> tuple:
+        """The keys reached from carry vector `key` by labels 0 and 1, None where not admissible."""
+        Ns = [key // s % b for s, b in zip(self.strides, self.bases)] if self.numeric else key
+        rems = [N % 3 for N in Ns]  # label 0 needs no 2 among them, label 1 no 1
+        kids = (tuple(N // 3 for N in Ns) if 2 not in rems else None,
+                tuple((N + M) // 3 for N, M in zip(Ns, self.values)) if 1 not in rems else None)
+        if not self.numeric:
+            return kids
+        return tuple(c and sum(N * s for N, s in zip(c, self.strides)) for c in kids)
+
+    def numpy_level(self, level: np.ndarray) -> np.ndarray:
+        self.flush()
+        if self.sorted_upto < self.n:
+            fresh = _join(self.key_chunks)[self.sorted_upto:]
+            ids = np.arange(self.sorted_upto, self.n)
+            if self.sorted_keys is not None:
+                fresh = np.concatenate((self.sorted_keys, fresh))
+                ids = np.concatenate((self.sorted_ids, ids))
+            order = np.argsort(fresh, kind="stable")
+            self.sorted_keys, self.sorted_ids = fresh[order], ids[order]
+            self.sorted_upto = self.n
+        n, seen, seen_ids = self.n, self.sorted_keys, self.sorted_ids
+        values, strides, bases = (np.array(x, dtype=np.int64)
+                                  for x in (self.values, self.strides, self.bases))
+        C = level[:, None] // strides % bases
+        rem = C % 3
+        ok = np.empty((len(level), 2), dtype=bool)  # (vertex, label) cells with an edge
+        (rem <= 1).all(axis=1, out=ok[:, 0])
+        (rem != 1).all(axis=1, out=ok[:, 1])
+        kids = np.empty((len(level), 2), dtype=np.int64)
+        np.matmul(C // 3, strides, out=kids[:, 0])
+        np.matmul((C + values) // 3, strides, out=kids[:, 1])
+        kids = kids[ok]  # in (vertex, label) order
+        pos = np.searchsorted(seen, kids)
+        pos[pos == n] = 0
+        dst = seen_ids[pos]
+        fresh_at = np.flatnonzero(seen[pos] != kids)
+        # number the fresh keys by first occurrence: sort them stably, then
+        # order the distinct ones by the position of their first copy
+        o = fresh_at[np.argsort(kids[fresh_at], kind="stable")]
+        s = kids[o]
+        head = np.ones(len(s), dtype=bool)
+        np.not_equal(s[1:], s[:-1], out=head[1:])
+        uniq = s[head]
+        if self.max_vertices is not None and n + len(uniq) > self.max_vertices:
+            self.refuse()
+        by_first = np.argsort(o[head])
+        ids = np.empty(len(uniq), dtype=np.int64)
+        ids[by_first] = np.arange(n, n + len(uniq))
+        dst[o] = ids[np.cumsum(head) - 1]
+        table = np.full((len(level), 3), -1, dtype=np.int32)
+        table[:, :2][ok] = dst
+        self.row_chunks.append(table)
+        new = uniq[by_first]
+        self.key_chunks.append(new)
+        # merge the sorted fresh keys into the sorted seen keys
+        at = np.searchsorted(seen, uniq) + np.arange(len(uniq))
+        old = np.ones(n + len(uniq), dtype=bool)
+        old[at] = False
+        self.sorted_keys = np.empty(n + len(uniq), dtype=np.int64)
+        self.sorted_keys[at], self.sorted_keys[old] = uniq, seen
+        self.sorted_ids = np.empty(n + len(uniq), dtype=np.int64)
+        self.sorted_ids[at], self.sorted_ids[old] = ids, seen_ids
+        self.n = self.sorted_upto = n + len(uniq)
+        return new
+
+
+def _carry_graph(values, max_vertices, provenance) -> PointedLabeledGraph:
+    """The untrimmed carry automaton of `values`, all residue 1, in BFS order.
+
+    With one multiplier every vertex keeps an exit (label 0 when N mod 3 <= 1,
+    label 1 otherwise), so the graph is essential as built.
+    """
+    what = ",".join(str(v) for v in values)
+    delta, carries = _CarrySearch(values, max_vertices, what).run()
+    return PointedLabeledGraph._make(delta, carries, 0, provenance, len(values) == 1 or None)
 
 
 def build_single(m, max_vertices: int | None = DEFAULT_MAX_VERTICES) -> PointedLabeledGraph:
     """Carry automaton for a single multiplier over the digit alphabet {0,1}.
 
     Breadth-first closure from carry 0, trying label 0 before label 1, which
-    fixes the vertex order everything downstream relies on. A multiplier
-    with residue 2 admits only the zero word (its first settled digit would
-    be (2a + N) mod 3 = 2 for a = 1 at the start), so it short-circuits to
-    the one-vertex graph.
+    fixes the vertex order everything downstream relies on. The graph is
+    essential as built. A multiplier with residue 2 admits only
+    the zero word (its first settled digit would be (2a + N) mod 3 = 2 for
+    a = 1 at the start), so it short-circuits to the one-vertex graph.
     """
     m = _as_multiplier(m)
     if m.residue == 2:
         return _trivial_graph([m.value])
-    M = m.value
-    index = {0: 0}
-    carries = [0]
-    out = []
-    for N in carries:  # the BFS queue: appended to while it is walked
-        row = {}
-        for a in (0, 1):
-            if (a + N) % 3 > 1:
-                continue
-            nxt = (N + M * a) // 3
-            dst = index.get(nxt)
-            if dst is None:
-                if max_vertices is not None and len(carries) >= max_vertices:
-                    raise RefusalError(
-                        f"carry automaton for {M} exceeds {max_vertices} vertices")
-                dst = len(carries)
-                index[nxt] = dst
-                carries.append(nxt)
-            row[a] = dst
-        out.append(row)
-    return PointedLabeledGraph._from_table(tuple((c,) for c in carries), tuple(out), 0,
-                                           f"carry({M})")
-
-
-def reachable_product(g1: PointedLabeledGraph, g2: PointedLabeledGraph,
-                      max_vertices: int | None = DEFAULT_MAX_VERTICES) -> PointedLabeledGraph:
-    """Label product restricted to pairs reachable from the start pair.
-
-    Keeps an edge per label that both factors can read, so the result
-    presents the intersection of the two path sets. Not trimmed: states
-    with no common continuation are kept, which is exactly what finite
-    prefix counting wants (see trim_essential for the other half).
-    """
-    start = (g1.start, g2.start)
-    index = {start: 0}
-    pairs = [start]
-    out = []
-    for u1, u2 in pairs:  # the BFS queue: appended to while it is walked
-        row1, row2 = g1.out[u1], g2.out[u2]
-        row = {}
-        for a in sorted(row1):
-            if a not in row2:
-                continue
-            nxt = (row1[a], row2[a])
-            dst = index.get(nxt)
-            if dst is None:
-                if max_vertices is not None and len(pairs) >= max_vertices:
-                    raise RefusalError(
-                        f"label product exceeds {max_vertices} vertices")
-                dst = len(pairs)
-                index[nxt] = dst
-                pairs.append(nxt)
-            row[a] = dst
-        out.append(row)
-    vertices = tuple(g1.vertices[u1] + g2.vertices[u2] for (u1, u2) in pairs)
-    return PointedLabeledGraph._from_table(
-        vertices, tuple(out), 0, f"product({g1.provenance}, {g2.provenance})")
+    return _carry_graph([m.value], max_vertices, f"carry({m.value})")
 
 
 def trim_essential(g: PointedLabeledGraph) -> PointedLabeledGraph:
@@ -210,54 +413,57 @@ def trim_essential(g: PointedLabeledGraph) -> PointedLabeledGraph:
     Product states can lack any common admissible digit; walks into them
     never extend to infinite walks, so they contribute nothing to the path
     set. The start vertex is never dropped (in carry graphs it always loops
-    on digit 0). Returns the input object unchanged when nothing is cut.
+    on digit 0). The sinks are peeled in rounds over a reverse CSR of
+    delta. Vertex order is kept, and the input object is returned
+    unchanged when nothing is cut.
+
+    On a graph whose every vertex is reachable from the start, every vertex
+    that survives the peel still is: each vertex on a path from the start
+    to it has a surviving successor. Other graphs get a search over the
+    survivors.
     """
-    n = g.n
-    out = g.out
-    alive = [True] * n
-    outdeg = [len(row) for row in out]
-    preds = [[] for _ in range(n)]
-    for s, row in enumerate(out):
-        for d in row.values():
-            preds[d].append(s)
-    dead = deque(v for v in range(n) if outdeg[v] == 0 and v != g.start)
-    while dead:
-        v = dead.popleft()
-        if not alive[v]:
-            continue
-        alive[v] = False
-        for p in preds[v]:
-            if alive[p]:
-                outdeg[p] -= 1
-                if outdeg[p] == 0 and p != g.start:
-                    dead.append(p)
-
-    # reachability over the surviving part; the start is never dropped, so
-    # every vertex seen is alive
-    seen = [False] * n
-    seen[g.start] = True
-    order = [g.start]
-    for v in order:  # the BFS queue: appended to while it is walked
-        for w in out[v].values():
-            if alive[w] and not seen[w]:
-                seen[w] = True
-                order.append(w)
-
-    if len(order) == n:
+    n, delta = g.n, g.delta
+    outdeg = (delta >= 0).sum(axis=1)
+    dead = np.flatnonzero(outdeg == 0)
+    dead = dead[dead != g.start]
+    if not len(dead) and g._reachable:
+        if g._essential is None:
+            g._essential = bool(outdeg[g.start])
         return g
-    keep = [v for v in range(n) if seen[v]]
-    renum = [-1] * n
-    for i, v in enumerate(keep):
-        renum[v] = i
-    rows = tuple({a: renum[d] for a, d in out[v].items() if seen[d]} for v in keep)
-    return PointedLabeledGraph._from_table(tuple(g.vertices[v] for v in keep), rows,
-                                           renum[g.start], g.provenance)
-
-
-def label_product(g1: PointedLabeledGraph, g2: PointedLabeledGraph,
-                  max_vertices: int | None = DEFAULT_MAX_VERTICES) -> PointedLabeledGraph:
-    """Trimmed label product, the presentation of the intersection."""
-    return trim_essential(reachable_product(g1, g2, max_vertices=max_vertices))
+    alive = np.ones(n, dtype=bool)
+    if len(dead):
+        src, dst, _ = g.edge_arrays()
+        preds = src[np.argsort(dst, kind="stable")]
+        ptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(dst, minlength=n), out=ptr[1:])
+        while len(dead):
+            alive[dead] = False
+            # the predecessors of every dead vertex: preds[ptr[v]:ptr[v + 1]], concatenated
+            lo, sizes = ptr[dead], ptr[dead + 1] - ptr[dead]
+            idx = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+            p = preds[idx]
+            p, k = np.unique(p[alive[p]], return_counts=True)
+            outdeg[p] -= k
+            dead = p[(outdeg[p] == 0) & (p != g.start)]
+    if not g._reachable:
+        succ, ok = g.successors, alive.tolist()
+        ok[g.start] = False
+        order = [g.start]
+        for v in order:  # the BFS queue: appended to while it is walked
+            for w in succ[v]:
+                if ok[w]:
+                    ok[w] = False
+                    order.append(w)
+        alive = np.zeros(n, dtype=bool)
+        alive[order] = True
+    keep = np.flatnonzero(alive)  # fewer than n: a sink or an unreachable vertex was cut
+    renum = np.full(n, -1, dtype=np.int32)
+    renum[keep] = np.arange(len(keep), dtype=np.int32)
+    rows = delta[keep]
+    # every survivor but the start has an edge to a survivor
+    return PointedLabeledGraph._make(np.where(rows >= 0, renum[rows], -1).astype(np.int32),
+                                     g.carries[keep], int(renum[g.start]), g.provenance,
+                                     bool(outdeg[g.start]))
 
 
 def _prepare(ms) -> list[Multiplier]:
@@ -275,29 +481,34 @@ def build_multi(ms, max_vertices: int | None = DEFAULT_MAX_VERTICES) -> PointedL
 
     Normalizes, deduplicates, and sorts the inputs; the multiplier 1 is no
     constraint and is dropped. Any residue-2 multiplier collapses the whole
-    intersection to the zero word. Otherwise a left fold of trimmed label
-    products over the single-multiplier automata.
+    intersection to the zero word, and a single multiplier is build_single.
+    Otherwise the carry-vector search, trimmed to its essential part. The
+    provenance names the intersection as the left fold of label products
+    of the single automata, product(product(carry(a), carry(b)), carry(c)):
+    that fold gives the same vertices, edges and start, since a vertex that
+    survives the trim is reached by its least breadth-first word through
+    survivors only.
     """
     ms = _prepare(ms)
     if any(m.residue == 2 for m in ms):
         return _trivial_graph([m.value for m in ms])
-    ms = [m for m in ms if m.value != 1]
-    if not ms:
-        return build_single(normalize(1), max_vertices=max_vertices)
-    acc = build_single(ms[0], max_vertices=max_vertices)
+    ms = [m for m in ms if m.value != 1] or [normalize(1)]
+    if len(ms) == 1:
+        return build_single(ms[0], max_vertices=max_vertices)
+    provenance = f"carry({ms[0].value})"
     for m in ms[1:]:
-        acc = label_product(acc, build_single(m, max_vertices=max_vertices),
-                            max_vertices=max_vertices)
-    return acc
+        provenance = f"product({provenance}, carry({m.value}))"
+    return trim_essential(_carry_graph([m.value for m in ms], max_vertices, provenance))
 
 
 def build_multi_direct(ms, max_vertices: int | None = DEFAULT_MAX_VERTICES) -> PointedLabeledGraph:
-    """One-shot carry-vector construction of the same intersection.
+    """Reference construction of the same intersection, one vertex at a time.
 
-    States are whole carry vectors instead of nested products: digit a is
-    admissible when every component allows it, and components step
-    independently. An independent cross-check of build_multi; the two must
-    present the same language, and give the same one-vertex graph when a
+    A plain queue-driven breadth-first search over carry-vector tuples with
+    a dict of the vectors seen; digit a is admissible when every component
+    allows it, and components step independently. It shares no code with
+    the level-synchronous search of build_multi, and must give the same
+    vertices, edges and start, and the same one-vertex graph when a
     multiplier has residue 2.
     """
     ms = _prepare(ms)
@@ -310,9 +521,9 @@ def build_multi_direct(ms, max_vertices: int | None = DEFAULT_MAX_VERTICES) -> P
     start = (0,) * len(values)
     index = {start: 0}
     vectors = [start]
-    out = []
+    table = []
     for Ns in vectors:  # the BFS queue: appended to while it is walked
-        row = {}
+        row = [-1, -1, -1]
         for a in (0, 1):
             if any((a + N) % 3 > 1 for N in Ns):
                 continue
@@ -326,10 +537,10 @@ def build_multi_direct(ms, max_vertices: int | None = DEFAULT_MAX_VERTICES) -> P
                 index[nxt] = dst
                 vectors.append(nxt)
             row[a] = dst
-        out.append(row)
+        table.append(row)
     desc = ",".join(str(v) for v in values)
-    return trim_essential(PointedLabeledGraph._from_table(
-        tuple(vectors), tuple(out), 0, f"carry({desc})"))
+    return trim_essential(PointedLabeledGraph._make(
+        np.array(table, dtype=np.int32), _int_array(vectors, len(values)), 0, f"carry({desc})"))
 
 
 # Graphs with fewer edges than this count paths in the per-edge Python loop:
@@ -351,18 +562,19 @@ def count_paths(g: PointedLabeledGraph, n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"word length must be nonnegative, got {n}")
-    if len(g.edges) < LIMB_KERNEL_EDGES:
+    if g.edge_count < LIMB_KERNEL_EDGES:
         return _count_paths_loop(g, n)
     return _count_paths_limbs(g, n)
 
 
 def _count_paths_loop(g: PointedLabeledGraph, n: int) -> int:
     """Path counts per vertex as Python ints, one add per edge per step."""
+    pairs = [(s, d) for s, d, _ in g.edges]
     counts = [0] * g.n
     counts[g.start] = 1
     for _ in range(n):
         nxt = [0] * g.n
-        for s, d, _ in g.edges:
+        for s, d in pairs:
             c = counts[s]
             if c:
                 nxt[d] += c
@@ -381,9 +593,8 @@ def _count_paths_limbs(g: PointedLabeledGraph, n: int) -> int:
     than 2^b plus the carry from below; b = 49 - ceil(log2 D) leaves about
     14 steps between carries at D = 2.
     """
-    src = np.fromiter((s for s, _, _ in g.edges), dtype=np.int64, count=len(g.edges))
-    dst = np.fromiter((d for _, d, _ in g.edges), dtype=np.int64, count=len(g.edges))
-    A = csr_matrix((np.ones(len(g.edges), dtype=np.int64), (dst, src)), shape=(g.n, g.n))
+    src, dst, _ = g.edge_arrays()
+    A = csr_matrix((np.ones(len(src), dtype=np.int64), (dst, src)), shape=(g.n, g.n))
     D = max(1, int(A.sum(axis=1).max()))
     b = max(1, 49 - (D - 1).bit_length())
     mask = (1 << b) - 1
@@ -404,15 +615,23 @@ def _count_paths_limbs(g: PointedLabeledGraph, n: int) -> int:
 
 
 def validate(g: PointedLabeledGraph, ms=None) -> ValidationReport:
-    """Structural report; the vertex bound is checked when multipliers are given."""
+    """Structural report; the vertex bound is checked when multipliers are given.
+
+    Reachability is known from construction: builders number vertices in
+    breadth-first order from the start, and the checked constructor
+    searches once. Single carry automata and trimmed graphs are essential
+    as built; any other graph's table is looked at once.
+    """
     if ms is None:
         bound_ok = True
     else:
         bound = prod(1 + _as_multiplier(m).value // 2 for m in ms)
         bound_ok = g.n <= bound
+    if g._essential is None:
+        g._essential = bool((g.delta >= 0).any(axis=1).all())
     return ValidationReport(
-        reachable=len(g.reachable_set()) == g.n,
-        essential=all(g.out),
+        reachable=g._reachable,
+        essential=g._essential,
         vertex_bound_ok=bound_ok,
     )
 

@@ -358,16 +358,14 @@ def _zero_one_values(limit: int) -> list:
 def _has_zero_one_cycle_pair(M: int) -> bool:
     """Start vertex carries both a 0-loop and the return word 1 0^m."""
     g = build_single(M)
-    st = g.start
-    if g.out[st].get(0) != st:
+    rows, st = g.delta.tolist(), g.start
+    if rows[st][0] != st:
         return False
-    v = g.out[st].get(1)
-    if v is None:
-        return False
+    v = rows[st][1]
     for _ in range(len(to_ternary(M)) - 1):
-        v = g.out[v].get(0)
-        if v is None:
+        if v < 0:
             return False
+        v = rows[v][0]
     return v == st
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -97,6 +98,12 @@ def cmd_dim(args) -> int:
     ms = parse_multiplier_list(args.spec)
     g = build_multi(ms, max_vertices=args.max_vertices)
     r = hausdorff_dim(g)
+    if args.json:
+        print(json.dumps({
+            "vertices": g.n, "edges": g.edge_count, "sccs": r.scc_count,
+            "method": r.method, "beta": r.beta, "beta_bracket": [list(e) for e in r.beta_bracket],
+            "dim": r.dim, "error_bound": r.error_bound, "iterations": r.iterations}))
+        return 0
     p = args.precision
     print(
         f"beta={r.beta:.{p}f} dim={r.dim:.{p}f} vertices={g.n}"
@@ -221,6 +228,9 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("dim", help="Hausdorff dimension of an intersection")
     sp.add_argument("spec", help="multiplier list, e.g. '7', '7,19', 'L:4', 't:201'")
+    sp.add_argument("--json", action="store_true",
+                    help="print one JSON object with the graph's size, the method, the exact"
+                         " bracket of beta as [[num, den], [num, den]] and the iterations")
     common(sp)
     sp.set_defaults(func=cmd_dim)
 
@@ -272,6 +282,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point stdout at the null device, so that flushing it at exit cannot raise again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):  # a stream without a file descriptor
+        sys.stdout = os.fdopen(devnull, "w")
+    else:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -280,6 +301,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        _discard_stdout()  # the reader has gone, as with `| head`: stop quietly
+        return 0
     except RefusalError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .automaton import PointedLabeledGraph
 from .errors import RefusalError
-from .spectral import largest_root_bracket, log3
+from .spectral import largest_root_bracket, log3, sign_at
 from .ternary import FamilyId
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -77,14 +77,25 @@ def N_eigenvector(k: int, cap: int = N_CAP) -> list[float]:
     return v
 
 
+def L_root_within(k: int, lower: float, upper: float) -> bool:
+    """lower <= beta_k <= upper, decided exactly for nonnegative floats.
+
+    x^k - x^(k-1) - 1 has one sign change, so one positive root beta_k
+    (Descartes), and it is -1 at 0: it is <= 0 on [0, beta_k] and > 0
+    above. So lower <= beta_k iff p(lower) <= 0 and beta_k <= upper iff
+    p(upper) >= 0; both signs are exact integer arithmetic at the floats.
+    """
+    return (sign_at(L_poly(k), *lower.as_integer_ratio()) <= 0
+            <= sign_at(L_poly(k), *upper.as_integer_ratio()))
+
+
 def check_L_bounds(k: int) -> bool:
     """1 + ln(k)/k - 2 ln(ln(k))/k <= beta_k <= 1 + ln(k)/k, stated for k >= 6."""
     if k < 6:
         raise ValueError(f"the bounds are stated for k >= 6, got {k}")
-    lo, hi = _L_root(k)
     upper = 1.0 + math.log(k) / k
     lower = upper - 2.0 * math.log(math.log(k)) / k
-    return lower <= lo and hi <= upper  # the whole bracket, compared exactly
+    return L_root_within(k, lower, upper)
 
 
 def Y_graph() -> PointedLabeledGraph:

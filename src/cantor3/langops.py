@@ -7,7 +7,6 @@ state pairs. The essential requirement is not decorative: with sinks on
 either side the reduction is unsound, so untrimmed inputs are rejected.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 from .automaton import PointedLabeledGraph, validate
@@ -31,15 +30,15 @@ def is_subset(g1: PointedLabeledGraph, g2: PointedLabeledGraph) -> ComparisonRes
     """
     validate(g1).require("left graph")
     validate(g2).require("right graph")
+    row1, row2 = _rows(g1), _rows(g2)
     start = (g1.start, g2.start)
     parent: dict = {start: None}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        u1, u2 = pair
-        row1, row2 = g1.out[u1], g2.out[u2]
-        for a in sorted(row1):
-            if a not in row2:
+    queue = [start]
+    for pair in queue:  # the BFS queue: appended to while it is walked
+        for a, (w1, w2) in enumerate(zip(row1(pair[0]), row2(pair[1]))):
+            if w1 < 0:
+                continue
+            if w2 < 0:
                 word = [a]
                 node = pair
                 while parent[node] is not None:
@@ -47,11 +46,24 @@ def is_subset(g1: PointedLabeledGraph, g2: PointedLabeledGraph) -> ComparisonRes
                     word.append(lab)
                 word.reverse()
                 return ComparisonResult(False, tuple(word))
-            nxt = (row1[a], row2[a])
+            nxt = (w1, w2)
             if nxt not in parent:
                 parent[nxt] = (pair, a)
                 queue.append(nxt)
     return ComparisonResult(True, None)
+
+
+def _rows(g: PointedLabeledGraph):
+    """v -> g.delta[v] as a list, converted on first use: a search may read few rows."""
+    delta, cache = g.delta, [None] * g.n
+
+    def row(v: int) -> list:
+        r = cache[v]
+        if r is None:
+            r = cache[v] = delta[v].tolist()
+        return r
+
+    return row
 
 
 def is_equal(g1: PointedLabeledGraph, g2: PointedLabeledGraph) -> ComparisonResult:
@@ -71,26 +83,27 @@ def pointed_isomorphic(g1: PointedLabeledGraph, g2: PointedLabeledGraph) -> bool
     """
     validate(g1).require("left graph")
     validate(g2).require("right graph")
-    if g1.n != g2.n:
+    n = g1.n
+    if n != g2.n:
         return False
-    mapping = {g1.start: g2.start}
-    inverse = {g2.start: g1.start}
-    queue = deque([g1.start])
-    while queue:
-        u1 = queue.popleft()
-        u2 = mapping[u1]
-        row1, row2 = g1.out[u1], g2.out[u2]
-        if set(row1) != set(row2):
-            return False
-        for a in sorted(row1):
-            w1, w2 = row1[a], row2[a]
-            if w1 in mapping:
-                if mapping[w1] != w2:
+    rows1, rows2 = g1.delta.tolist(), g2.delta.tolist()
+    mapping, inverse = [-1] * n, [-1] * n
+    mapping[g1.start], inverse[g2.start] = g2.start, g1.start
+    queue = [g1.start]
+    for u1 in queue:  # the BFS queue: appended to while it is walked
+        for w1, w2 in zip(rows1[u1], rows2[mapping[u1]]):
+            if (w1 < 0) != (w2 < 0):
+                return False  # the two vertices read different labels
+            if w1 < 0:
+                continue
+            m = mapping[w1]
+            if m >= 0:
+                if m != w2:
                     return False
-            elif w2 in inverse:
+            elif inverse[w2] >= 0:
                 return False  # two vertices of g1 would land on w2
             else:
                 mapping[w1] = w2
                 inverse[w2] = w1
                 queue.append(w1)
-    return len(mapping) == g1.n
+    return len(queue) == n

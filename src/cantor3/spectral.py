@@ -3,7 +3,7 @@
 The Hausdorff dimension of the fractal presented by a pointed graph is
 log_3 of the spectral radius of the adjacency matrix, and the radius is the
 maximum over strongly connected components. Everything here reads the
-graph's edge list directly. Components that are bare cycles (or a lone
+graph's label table directly. Components that are bare cycles (or a lone
 vertex, with or without loops) are handled exactly. Every other component
 gets a positive vector v from the shifted matrix A + I, which is primitive
 whenever A is irreducible: by repeated squaring of the dense matrix up to
@@ -103,15 +103,9 @@ class CharPoly:
 
 def adjacency(g: PointedLabeledGraph) -> csr_matrix:
     """Edge multiplicities as an int64 sparse matrix in the graph's own vertex order."""
-    rows = [s for s, _, _ in g.edges]
-    cols = [d for _, d, _ in g.edges]
+    rows, cols, _ = g.edge_arrays()
     ones = np.ones(len(rows), dtype=np.int64)
     return csr_matrix((ones, (rows, cols)), shape=(g.n, g.n))  # duplicates are summed
-
-
-def _successors(g: PointedLabeledGraph) -> list[list[int]]:
-    """Destinations per vertex in label-table order, which is the vertex's edge order."""
-    return [list(row.values()) for row in g.out]
 
 
 def _tarjan(succ: list[list[int]]) -> list[list[int]]:
@@ -166,7 +160,7 @@ def _tarjan(succ: list[list[int]]) -> list[list[int]]:
 
 def scc(g: PointedLabeledGraph) -> SccDecomposition:
     """Strongly connected components in reverse topological order."""
-    return SccDecomposition(components=tuple(frozenset(c) for c in _tarjan(_successors(g))))
+    return SccDecomposition(components=tuple(frozenset(c) for c in _tarjan(g.successors)))
 
 
 def _dense_squaring(rows, cols, k: int, tol: float):
@@ -260,7 +254,8 @@ def _spectral_full(g: PointedLabeledGraph, tol: float):
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    comps = _tarjan(_successors(g))
+    succ = g.successors
+    comps = _tarjan(succ)
     comp_of = [0] * g.n
     local = [0] * g.n
     for c, comp in enumerate(comps):
@@ -268,10 +263,11 @@ def _spectral_full(g: PointedLabeledGraph, tol: float):
             comp_of[v] = c
             local[v] = i
     inner = [[] for _ in comps]  # each component's edges, in local indices
-    for s, d, _ in g.edges:
+    for s, row in enumerate(succ):
         c = comp_of[s]
-        if c == comp_of[d]:
-            inner[c].append((local[s], local[d]))
+        for d in row:
+            if c == comp_of[d]:
+                inner[c].append((local[s], local[d]))
     lo = hi = Fraction(0)
     best = None
     for comp, edges in zip(comps, inner):
@@ -415,7 +411,7 @@ def _squarefree(coeffs) -> list:
     return _pdiv(p, a)[0]
 
 
-def _sign_at(p, a: int, d: int) -> int:
+def sign_at(p, a: int, d: int) -> int:
     """Sign of p(a/d) for d > 0, from p(a/d) * d^deg computed in integers."""
     acc, dp = p[-1], 1
     for c in reversed(p[:-1]):
@@ -425,7 +421,7 @@ def _sign_at(p, a: int, d: int) -> int:
 
 
 def _sign_changes(seq, a: int, d: int) -> int:
-    signs = [s for s in (_sign_at(p, a, d) for p in seq) if s]
+    signs = [s for s in (sign_at(p, a, d) for p in seq) if s]
     return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 
@@ -457,13 +453,13 @@ def largest_root_bracket(coeffs) -> tuple[int, int, int]:
             lo, roots = mid, v_mid - v_hi
         else:
             hi, v_hi = mid, v_mid
-    s_hi = _sign_at(q, hi, 1 << k)
+    s_hi = sign_at(q, hi, 1 << k)
     if s_hi == 0:
         return hi, hi, k
     while (hi - lo) << 40 > 1 << k:  # one simple root in (lo, hi): q changes sign
         lo, hi, k = 2 * lo, 2 * hi, k + 1
         mid = (lo + hi) // 2
-        s = _sign_at(q, mid, 1 << k)
+        s = sign_at(q, mid, 1 << k)
         if s == 0:
             return mid, mid, k
         if s == s_hi:

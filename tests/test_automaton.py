@@ -1,11 +1,15 @@
+import hashlib
 import itertools
 import json
 import random
 from collections import deque
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import cantor3.automaton as automaton
 
 from cantor3 import (
     PointedLabeledGraph,
@@ -17,10 +21,8 @@ from cantor3 import (
     build_single,
     count_paths,
     is_equal,
-    label_product,
     normalize,
     pointed_isomorphic,
-    reachable_product,
     to_dot,
     to_json,
     trim_essential,
@@ -28,12 +30,57 @@ from cantor3 import (
 )
 from cantor3.automaton import (
     LIMB_KERNEL_EDGES,
+    NUMPY_LEVEL_WIDTH,
     _count_paths_limbs,
     _count_paths_loop,
     to_json_dict,
     vertex_name,
 )
 from cantor3.families import Y_graph
+
+
+def reachable_product(g1, g2):
+    """Label product restricted to pairs reachable from the start pair.
+
+    Keeps an edge per label that both factors can read, so the result
+    presents the intersection of the two path sets. Not trimmed: states
+    with no common continuation are kept, which is what finite prefix
+    counting wants. A step of the fold below, built through the checked
+    constructor.
+    """
+    rows1, rows2 = g1.delta.tolist(), g2.delta.tolist()
+    start = (g1.start, g2.start)
+    index = {start: 0}
+    pairs = [start]
+    edges = []
+    for i, (u1, u2) in enumerate(pairs):  # the BFS queue: appended to while it is walked
+        for a, (w1, w2) in enumerate(zip(rows1[u1], rows2[u2])):
+            if w1 < 0 or w2 < 0:
+                continue
+            if (w1, w2) not in index:
+                index[(w1, w2)] = len(pairs)
+                pairs.append((w1, w2))
+            edges.append((i, index[(w1, w2)], a))
+    vertices = [g1.vertices[u1] + g2.vertices[u2] for u1, u2 in pairs]
+    return PointedLabeledGraph(vertices, edges, 0, f"product({g1.provenance}, {g2.provenance})")
+
+
+def label_product(g1, g2):
+    """Trimmed label product, the presentation of the intersection."""
+    return trim_essential(reachable_product(g1, g2))
+
+
+def fold(ms):
+    """build_multi as a left fold of trimmed label products over the single
+    automata: the cross-check for the carry-vector search."""
+    values = sorted({normalize(m).value for m in ms})
+    if any(v % 3 == 2 for v in values):
+        return build_multi(ms)
+    values = [v for v in values if v != 1] or [1]
+    acc = build_single(values[0])
+    for v in values[1:]:
+        acc = label_product(acc, build_single(v))
+    return acc
 
 
 def test_build_single_7_exact():
@@ -74,7 +121,7 @@ def test_build_single_validates_everywhere():
         assert rep.all_ok, (m, rep)
         # every vertex keeps an exit: label 0 works whenever carry % 3 <= 1,
         # label 1 whenever carry % 3 is 0 or 2, so one of them always applies
-        assert all(g.out)
+        assert (g.delta >= 0).any(axis=1).all()
 
 
 def test_carry_bound_is_tight_for_small_cases():
@@ -188,6 +235,10 @@ def _assert_trim_matches_reference(g):
     got, want = trim_essential(g), _trim_essential_reference(g)
     assert (got.vertices, got.edges, got.start) == (want.vertices, want.edges, want.start)
     assert (got is g) == (want is g)
+    # the flags the trim hands on agree with the edges: only the start can be a sink
+    report = validate(got)
+    assert report.reachable
+    assert report.essential == ({s for s, _, _ in got.edges} == set(range(got.n)))
 
 
 @pytest.mark.parametrize("ms", [(4, 16), (4, 256), (7, 19), (3**5 + 1, 3**6 + 1)])
@@ -268,7 +319,7 @@ def test_count_paths_kernel_on_duplicate_edges():
     assert len(set((s, d) for s, d, _ in g.edges)) < len(g.edges)
 
     def words(v, n):  # readable words, enumerated one by one
-        return 1 if n == 0 else sum(words(w, n - 1) for w in g.out[v].values())
+        return 1 if n == 0 else sum(words(w, n - 1) for w in g.delta[v].tolist() if w >= 0)
 
     for n in range(7):
         assert _count_paths_limbs(g, n) == words(g.start, n)
@@ -356,7 +407,7 @@ def test_constructor_converts_edges_to_int():
     # edges reach repr-based digests, so numpy scalars must not leak in
     g = PointedLabeledGraph([(0,)], np.array([(0, 0, 0), (0, 0, 1)]), 0)
     assert repr(g.edges) == "((0, 0, 0), (0, 0, 1))"
-    assert g.out == ({0: 0, 1: 0},)
+    assert g.delta.tolist() == [[0, 0, -1]] and g.delta.dtype == np.int32
 
 
 def _residue_1(bound):
@@ -366,8 +417,9 @@ def _residue_1(bound):
 
 def _assert_round_trips(g):
     h = PointedLabeledGraph(g.vertices, g.edges, g.start, g.provenance)
-    assert (h.vertices, h.edges, h.out, h.start, h.provenance) == (
-        g.vertices, g.edges, g.out, g.start, g.provenance)
+    assert (h.vertices, h.edges, h.start, h.provenance) == (
+        g.vertices, g.edges, g.start, g.provenance)
+    assert np.array_equal(h.delta, g.delta) and np.array_equal(h.carries, g.carries)
     assert g.edges == tuple(sorted(g.edges, key=lambda e: (e[0], e[2])))
 
 
@@ -386,6 +438,88 @@ def test_max_vertices_refusal():
         build_single(7, max_vertices=3)
     with pytest.raises(RefusalError):
         build_multi([7, 19], max_vertices=5)
+
+
+def test_refusal_comes_before_a_level_past_the_cap(monkeypatch):
+    # N_20 has 2^20 vertices; the level of 512 new carries would make 1024,
+    # and the search refuses before it holds any of them
+    held = []
+    refuse = automaton._CarrySearch.refuse
+
+    def spy(search):
+        held.append((search.n, sum(map(len, search.key_chunks)) + len(search.keys)))
+        refuse(search)
+
+    monkeypatch.setattr(automaton._CarrySearch, "refuse", spy)
+    with pytest.raises(RefusalError) as info:
+        build_single(3**20 + 1, max_vertices=1000)
+    assert str(info.value) == "carry automaton for 3486784402 exceeds 1000 vertices"
+    assert held == [(512, 512)]  # levels of 1, 1, 2, ..., 256 carries
+
+
+# sha256 of repr((start, vertices, edges)) as the fold of label products
+# built them, before the carry-vector search replaced it; pure ints, so the
+# digests hold on every platform
+PINNED_GRAPHS = {
+    "N_14": ([3**14 + 1], "2d056e34d5696e58b9f7e1fffcc7c94cc89874e798b3abf45b98e134f3d534be"),
+    "N_15": ([3**15 + 1], "554a5919ab0108ea59092c1fed8887bc8aee7b1d5753322d34857ab03a00f2f8"),
+    "2^20": ([2**20], "748ccc0bafd248cb5b9a727ecdb31f509fd23c47fe430b44e6568f6fad87df42"),
+    "2^24,2^26": ([2**24, 2**26],
+                  "688ab6768fc816af7f25d6c37170c22e1ca9ca095c5625fa0c031a21e507a806"),
+    "N_12,N_13": ([3**12 + 1, 3**13 + 1],
+                  "d51ad5b02a542a4bfdf96435c52eb2483c4f8be201b5834704bd8ae55c392334"),
+    "L_39,L_40": ([(3**39 - 1) // 2, (3**40 - 1) // 2],
+                  "33032109dac324963fbfe19a93ae9bde97390f38da54d4418968c75edcd49085"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GRAPHS))
+def test_search_reproduces_pinned_graphs(name):
+    ms, digest = PINNED_GRAPHS[name]
+    g = build_multi(ms)
+    assert hashlib.sha256(repr((g.start, g.vertices, g.edges)).encode()).hexdigest() == digest
+
+
+def _L(k):
+    return (3**k - 1) // 2
+
+
+# L_39 and (N_5, L_35) key below 2^62, so their levels may run in numpy;
+# L_40, L_41 and (N_5, L_36) do not and run in Python with int64 carries;
+# L_42's carries pass int64 and are Python ints
+NEAR_THE_KEY_BOUND = [_L(39), _L(40), _L(41), _L(42), 3**5 + 1, _L(35), _L(36)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(_residue_1(3**6), st.sampled_from(NEAR_THE_KEY_BOUND)),
+                min_size=1, max_size=3),
+       st.sampled_from([1, 4, 32, NUMPY_LEVEL_WIDTH]))
+@example([3**8 + 1], NUMPY_LEVEL_WIDTH)  # one level of 128, one of 256
+@example([2**18], NUMPY_LEVEL_WIDTH)  # numpy in the middle, Python before and after
+@example([4, 256], 1)
+@example([3**5 + 1, _L(35)], 1)
+@example([3**5 + 1, _L(36)], 1)
+@example([_L(42)], 1)
+def test_search_matches_direct_construction(ms, width):
+    # a narrower gate sends small graphs through the numpy steps too
+    with patch.object(automaton, "NUMPY_LEVEL_WIDTH", width):
+        got = build_multi(ms)
+    want = build_multi_direct(ms)
+    assert (got.vertices, got.edges, got.start) == (want.vertices, want.edges, want.start)
+    assert got.delta.dtype == np.int32 and np.array_equal(got.delta, want.delta)
+    assert got.carries.dtype == want.carries.dtype
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_residue_1(3**5), min_size=1, max_size=3))
+@example([7, 19])
+@example([4, 256])
+@example([3**6 + 1, 3**7 + 1])
+@example([2**10, 2**12])
+def test_fold_matches_build_multi(ms):
+    a, b = fold(ms), build_multi(ms)
+    assert (a.vertices, a.edges, a.start, a.provenance) == (b.vertices, b.edges, b.start,
+                                                            b.provenance)
 
 
 def test_json_schema_and_determinism():

@@ -1,6 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -289,3 +294,48 @@ def test_one_tarjan_per_graph(monkeypatch, capsys):
     del calls[:]
     code, out, _ = run(capsys, "family", "L:4")
     assert code == 0 and "sccs=1/1 ok" in out and len(calls) == 1
+
+
+def test_dim_json(capsys):
+    code, out, _ = run(capsys, "dim", "7,19", "--json")
+    assert code == 0 and len(out.splitlines()) == 1
+    doc = json.loads(out)
+    assert set(doc) == {"vertices", "edges", "sccs", "method", "beta", "beta_bracket", "dim",
+                        "error_bound", "iterations"}
+    assert (doc["vertices"], doc["edges"], doc["sccs"]) == (6, 8, 1)
+    assert doc["method"] == "dense_squaring" and doc["iterations"] > 0
+    (a, b), (c, d) = doc["beta_bracket"]
+    assert Fraction(a, b) <= Fraction(doc["beta"]) <= Fraction(c, d)
+    assert abs(doc["dim"] - 0.347934) <= 1e-6 and 0 < doc["error_bound"] <= 1e-12
+    # the text output is unchanged by the flag's existence
+    _, text, _ = run(capsys, "dim", "7,19")
+    assert text == "beta=1.465571 dim=0.347934 vertices=6 sccs=1 error_bound=6.7e-16\n"
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write fails as on a closed pipe."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        raise io.UnsupportedOperation("no file descriptor")
+
+
+def test_closed_stdout_ends_quietly(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["scan", "4..40", "--csv", "--precision", "12"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_ends_quietly_end_to_end():
+    # more than a pipe buffer of output, and the reader leaves after one line
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "cantor3.cli", "export", "4782970", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

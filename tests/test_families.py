@@ -17,7 +17,8 @@ from cantor3 import (
     hausdorff_dim,
     is_subset,
 )
-from cantor3.families import PHI, L_poly
+from cantor3.families import PHI, L_poly, L_root_within
+from cantor3.spectral import largest_root_bracket
 from cantor3.spectral import log3
 from cantor3.ternary import FamilyId, family_value
 
@@ -78,6 +79,34 @@ def test_check_L_bounds():
     assert check_L_bounds(100)
     with pytest.raises(ValueError):
         check_L_bounds(5)
+
+
+@pytest.mark.parametrize("k", [6, 7, 40, 200])
+def test_L_root_within_is_exact(k):
+    lo, hi, e = largest_root_bracket(L_poly(k))
+    below = math.nextafter(lo / 2**e, 0)  # floats just outside the 2^-40 bracket
+    above = math.nextafter(hi / 2**e, 2)
+    assert L_root_within(k, below, above)
+    assert L_root_within(k, 1.0, 2.0)
+    assert not L_root_within(k, above, 2.0)  # a lower bound above the root
+    assert not L_root_within(k, 1.0, below)  # an upper bound below the root
+    assert not L_root_within(k, 0.0, 1.0)
+
+
+def test_L_dim_bounds_check_fails_on_a_wrong_bound(monkeypatch):
+    import cantor3.checks as checks
+
+    # the stated lower bound given as the upper one: beta_k lies above it
+    def too_low(k):
+        upper = 1.0 + math.log(k) / k - 2.0 * math.log(math.log(k)) / k
+        return L_root_within(k, 1.0, upper)
+
+    monkeypatch.setattr(checks, "check_L_bounds", too_low)
+    res = checks.run_check("L-dim-bounds")
+    assert not res.ok and res.detail.startswith("bounds fail at k=[")
+    monkeypatch.undo()
+    res = checks.run_check("L-dim-bounds")
+    assert res.ok and res.line() == "PASS L-dim-bounds: two-sided bounds on dim L_k hold for k=6..200"
 
 
 def test_Y_graph_shape():
