@@ -7,6 +7,7 @@ from .automaton import (
     build_multi_direct,
     build_single,
     count_paths,
+    dim_estimate,
     to_dot,
     to_json,
     trim_essential,
@@ -22,7 +23,7 @@ from .families import (
 )
 from .checks import CheckResult, run_check, run_suite
 from .langops import ComparisonResult, is_equal, is_subset, pointed_isomorphic
-from .oracle import admissible_word, brute_count, brute_count_extendable, dim_estimate
+from .oracle import admissible_word, brute_count, brute_count_extendable
 from .spectral import (
     CharPoly,
     DimensionResult,
@@ -38,6 +39,7 @@ from .ternary import (
     family_value,
     from_ternary,
     normalize,
+    parse_family,
     parse_multiplier,
     parse_multiplier_list,
     render_ternary,

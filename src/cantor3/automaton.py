@@ -190,11 +190,6 @@ class PointedLabeledGraph:
 class ValidationReport:
     reachable: bool
     essential: bool
-    vertex_bound_ok: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.reachable and self.essential and self.vertex_bound_ok
 
     def require(self, side: str) -> None:
         """Raise ValueError naming `side` and each failed presentation property.
@@ -567,6 +562,20 @@ def count_paths(g: PointedLabeledGraph, n: int) -> int:
     return _count_paths_limbs(g, n)
 
 
+def dim_estimate(g: PointedLabeledGraph, n: int) -> float:
+    """log_3(number of length-n words) / n, from exact path counts.
+
+    Converges to the dimension for strongly connected primitive
+    presentations; a sanity estimate, not a certified value.
+    """
+    if n == 0:
+        return 0.0
+    c = count_paths(g, n)
+    if c == 0:
+        return 0.0
+    return math.log(c, 3) / n
+
+
 def _count_paths_loop(g: PointedLabeledGraph, n: int) -> int:
     """Path counts per vertex as Python ints, one add per edge per step."""
     pairs = [(s, d) for s, d, _ in g.edges]
@@ -614,26 +623,17 @@ def _count_paths_limbs(g: PointedLabeledGraph, n: int) -> int:
     return sum(int(c) << (b * j) for j, c in enumerate(X.sum(axis=0, dtype=object)))
 
 
-def validate(g: PointedLabeledGraph, ms=None) -> ValidationReport:
-    """Structural report; the vertex bound is checked when multipliers are given.
+def validate(g: PointedLabeledGraph) -> ValidationReport:
+    """Which presentation properties hold: reachable from the start, and essential.
 
     Reachability is known from construction: builders number vertices in
     breadth-first order from the start, and the checked constructor
     searches once. Single carry automata and trimmed graphs are essential
     as built; any other graph's table is looked at once.
     """
-    if ms is None:
-        bound_ok = True
-    else:
-        bound = prod(1 + _as_multiplier(m).value // 2 for m in ms)
-        bound_ok = g.n <= bound
     if g._essential is None:
         g._essential = bool((g.delta >= 0).any(axis=1).all())
-    return ValidationReport(
-        reachable=g._reachable,
-        essential=g._essential,
-        vertex_bound_ok=bound_ok,
-    )
+    return ValidationReport(reachable=g._reachable, essential=g._essential)
 
 
 def to_json_dict(g: PointedLabeledGraph) -> dict:
@@ -645,8 +645,8 @@ def to_json_dict(g: PointedLabeledGraph) -> dict:
     }
 
 
-def to_json(g: PointedLabeledGraph, indent: int | None = 2) -> str:
-    return json.dumps(to_json_dict(g), indent=indent)
+def to_json(g: PointedLabeledGraph) -> str:
+    return json.dumps(to_json_dict(g), indent=2)
 
 
 def vertex_name(g: PointedLabeledGraph, v: int) -> str:

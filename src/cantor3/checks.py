@@ -423,46 +423,30 @@ def check_pair_4_256_root() -> CheckResult:
     )
 
 
+# (name, suite, check) in the order `check all` runs them; every other
+# suite runs its own checks in this order.
 _REGISTRY = (
-    ("example-7", check_example_7),
-    ("example-19", check_example_19),
-    ("example-7-19", check_example_7_19),
-    ("example-43", check_example_43),
-    ("table-L-dims", check_table_L_dims),
-    ("family-N-phi", check_family_N_phi),
-    ("table-powers-of-2", check_table_powers_of_2),
-    ("L-pair-absorption", check_L_pair_absorption),
-    ("N-chain-vs-L", check_N_chain_vs_L),
-    ("Y-containment", check_Y_containment),
-    ("L-dim-bounds", check_L_dim_bounds),
-    ("oracle-agreement", check_oracle_agreement),
-    ("digit-criteria", check_digit_criteria),
-    ("pair-4-256-root", check_pair_4_256_root),
+    ("example-7", "tables", check_example_7),
+    ("example-19", "tables", check_example_19),
+    ("example-7-19", "tables", check_example_7_19),
+    ("example-43", "tables", check_example_43),
+    ("table-L-dims", "tables", check_table_L_dims),
+    ("family-N-phi", "families", check_family_N_phi),
+    ("table-powers-of-2", "tables", check_table_powers_of_2),
+    ("L-pair-absorption", "families", check_L_pair_absorption),
+    ("N-chain-vs-L", "families", check_N_chain_vs_L),
+    ("Y-containment", "containment", check_Y_containment),
+    ("L-dim-bounds", "families", check_L_dim_bounds),
+    ("oracle-agreement", "oracle", check_oracle_agreement),
+    ("digit-criteria", "families", check_digit_criteria),
+    ("pair-4-256-root", "tables", check_pair_4_256_root),
 )
 
-CHECKS = dict(_REGISTRY)
+CHECKS = {name: check for name, _, check in _REGISTRY}
 
-SUITES = {
-    "tables": (
-        "example-7",
-        "example-19",
-        "example-7-19",
-        "example-43",
-        "table-L-dims",
-        "table-powers-of-2",
-        "pair-4-256-root",
-    ),
-    "families": (
-        "family-N-phi",
-        "L-pair-absorption",
-        "N-chain-vs-L",
-        "L-dim-bounds",
-        "digit-criteria",
-    ),
-    "oracle": ("oracle-agreement",),
-    "containment": ("Y-containment",),
-    "all": tuple(name for name, _ in _REGISTRY),
-}
+SUITES = {suite: tuple(name for name, s, _ in _REGISTRY if s == suite)
+          for _, suite, _ in _REGISTRY}
+SUITES["all"] = tuple(CHECKS)
 
 
 def run_check(name: str) -> CheckResult:

@@ -26,7 +26,12 @@ from .families import Y_graph, expect_L, expect_N
 from .langops import is_subset, pointed_isomorphic
 from .oracle import brute_count, brute_count_extendable
 from .spectral import hausdorff_dim
-from .ternary import FamilyId, family_value, parse_multiplier, parse_multiplier_list
+from .ternary import family_value, parse_family, parse_multiplier, parse_multiplier_list
+
+# Every row of a scan is listed before the first one runs, so larger scans
+# are refused up front: 100 000 single rows take about 0.7 s and 50 MB to
+# list (2-vCPU Xeon).
+SCAN_ROW_LIMIT = 100_000
 
 CSV_HEADER = ("multipliers", "vertices", "sccs", "beta", "dim", "error_bound", "elapsed_ms", "error")
 
@@ -51,33 +56,42 @@ def _echo(ms) -> str:
     return ",".join(str(m.normalized_from) for m in ms)
 
 
+def _singles(prefix: str, lo: int, hi: int):
+    """The rows of the range prefix+lo .. prefix+hi, one single multiplier each."""
+    for k in range(lo, hi + 1):
+        label = f"{prefix}{k}"
+        yield [parse_multiplier(label)], label
+
+
 def _expand_scan_specs(tokens):
-    """Each token is a tuple spec or a range of singles: '4..40', 'L:1..9'."""
-    out = []
+    """Each token is a tuple spec or a range of singles: '4..40', 'L:1..9'.
+
+    A range's rows are counted from its ends, and a scan of more than
+    SCAN_ROW_LIMIT rows is refused before any row is built.
+    """
+    parts = []  # (row count, rows) per token; a range's rows are made once all are counted
     for tok in tokens:
         tok = tok.strip()
-        if ".." in tok:
-            head, _, tail = tok.partition("..")
-            if len(head) > 2 and head[1] == ":":
-                kind = head[0]
-                lo, hi = int(head[2:]), int(tail)
-                if lo < 1 or hi < lo:
-                    raise ParseError(f"bad family range {tok!r}")
-                for k in range(lo, hi + 1):
-                    out.append(([parse_multiplier(f"{kind}:{k}")], f"{kind}:{k}"))
-            else:
-                try:
-                    lo, hi = int(head), int(tail)
-                except ValueError:
-                    raise ParseError(f"bad range {tok!r}") from None
-                if lo < 1 or hi < lo:
-                    raise ParseError(f"bad range {tok!r}")
-                for m in range(lo, hi + 1):
-                    out.append(([parse_multiplier(str(m))], str(m)))
-        else:
+        if ".." not in tok:
             ms = parse_multiplier_list(tok)
-            out.append((ms, _echo(ms)))
-    return out
+            parts.append((1, [(ms, _echo(ms))]))
+            continue
+        head, _, tail = tok.partition("..")
+        prefix, lo = "", head
+        if ":" in head:
+            fam = parse_family(head)
+            prefix, lo = f"{fam.kind}:", fam.k
+        try:
+            lo, hi = int(lo), int(tail)
+        except ValueError:
+            raise ParseError(f"bad range {tok!r}") from None
+        if lo < 1 or hi < lo:
+            raise ParseError(f"bad range {tok!r}")
+        parts.append((hi - lo + 1, _singles(prefix, lo, hi)))
+    count = sum(c for c, _ in parts)
+    if count > SCAN_ROW_LIMIT:
+        raise RefusalError(f"scan limited to {SCAN_ROW_LIMIT} rows, got {count}")
+    return [row for _, rows in parts for row in rows]
 
 
 def _scan_row(task):
@@ -184,10 +198,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_family(args) -> int:
-    text = args.family.strip()
-    if len(text) < 3 or text[0] not in "LNP" or text[1] != ":":
-        raise ParseError(f"expected a family like 'L:4', got {text!r}")
-    fam = FamilyId(text[0], int(text[2:]))
+    fam = parse_family(args.family)
     value = family_value(fam)
     g = build_multi([value], max_vertices=args.max_vertices)
     r = hausdorff_dim(g)
@@ -220,18 +231,21 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="cantor3", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--precision", type=int, default=6, choices=range(1, 13),
-                        metavar="P", help="decimal places in reports (1..12, default 6)")
+    def vertex_cap(sp):
         sp.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES,
                         help="refuse constructions larger than this many product states")
+
+    def reporting(sp):
+        sp.add_argument("--precision", type=int, default=6, choices=range(1, 13),
+                        metavar="P", help="decimal places in reports (1..12, default 6)")
+        vertex_cap(sp)
 
     sp = sub.add_parser("dim", help="Hausdorff dimension of an intersection")
     sp.add_argument("spec", help="multiplier list, e.g. '7', '7,19', 'L:4', 't:201'")
     sp.add_argument("--json", action="store_true",
                     help="print one JSON object with the graph's size, the method, the exact"
                          " bracket of beta as [[num, den], [num, den]] and the iterations")
-    common(sp)
+    reporting(sp)
     sp.set_defaults(func=cmd_dim)
 
     sp = sub.add_parser("scan", help="batch dimensions, optionally as CSV")
@@ -239,7 +253,7 @@ def _build_parser() -> _Parser:
                     help="tuple specs or ranges of singles: '7,19' '4..40' 'L:1..9'")
     sp.add_argument("--csv", action="store_true", help="emit CSV with a header row")
     sp.add_argument("--jobs", type=int, default=1, help="parallel workers (output order fixed)")
-    common(sp)
+    reporting(sp)
     sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("export", help="emit a presentation as DOT or JSON")
@@ -247,7 +261,7 @@ def _build_parser() -> _Parser:
     fmt = sp.add_mutually_exclusive_group(required=True)
     fmt.add_argument("--dot", action="store_true")
     fmt.add_argument("--json", action="store_true")
-    common(sp)
+    vertex_cap(sp)
     sp.set_defaults(func=cmd_export)
 
     sp = sub.add_parser("blocks", help="brute-force block counts (oracle, no automaton)")
@@ -260,19 +274,19 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("contain", help="path-set containment of two presentations")
     sp.add_argument("spec1")
     sp.add_argument("spec2")
-    common(sp)
+    vertex_cap(sp)
     sp.set_defaults(func=cmd_contain)
 
     sp = sub.add_parser("iso", help="pointed isomorphism of two presentations")
     sp.add_argument("spec1")
     sp.add_argument("spec2")
-    common(sp)
+    vertex_cap(sp)
     sp.set_defaults(func=cmd_iso)
 
     sp = sub.add_parser("family", help="compare a family member against its closed form")
     sp.add_argument("family", help="'L:4', 'N:3', or 'P:2'")
     sp.add_argument("--tol", type=float, default=1e-6, help="dimension tolerance")
-    common(sp)
+    reporting(sp)
     sp.set_defaults(func=cmd_family)
 
     sp = sub.add_parser("check", help="run a named acceptance suite")

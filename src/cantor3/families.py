@@ -50,16 +50,16 @@ def expect_L(k: int) -> FamilyExpectation:
     return FamilyExpectation(FamilyId("L", k), log3(float((lo + hi) / 2)), k, 1, L_poly(k))
 
 
-def expect_N(k: int, cap: int = N_CAP) -> FamilyExpectation:
+def expect_N(k: int) -> FamilyExpectation:
     """2^k vertices, one component, dimension log_3(phi) independent of k."""
     if k < 1:
         raise ValueError(f"family index must be >= 1, got {k}")
-    if k > cap:
-        raise RefusalError(f"N_k presentations have 2^k vertices; k <= {cap}, got {k}")
+    if k > N_CAP:
+        raise RefusalError(f"N_k presentations have 2^k vertices; k <= {N_CAP}, got {k}")
     return FamilyExpectation(FamilyId("N", k), log3(PHI), 2 ** k, 1, (-1, -1, 1))
 
 
-def N_eigenvector(k: int, cap: int = N_CAP) -> list[float]:
+def N_eigenvector(k: int) -> list[float]:
     """Perron vector of the N_k presentation in its breadth-first vertex order.
 
     v_1 = (phi, 1) and v_j = (phi * v_{j-1}, v_{j-1}), so the entries are
@@ -69,8 +69,8 @@ def N_eigenvector(k: int, cap: int = N_CAP) -> list[float]:
     """
     if k < 1:
         raise ValueError(f"family index must be >= 1, got {k}")
-    if k > cap:
-        raise RefusalError(f"N_k eigenvectors have 2^k entries; k <= {cap}, got {k}")
+    if k > N_CAP:
+        raise RefusalError(f"N_k eigenvectors have 2^k entries; k <= {N_CAP}, got {k}")
     v = [PHI, 1.0]
     for _ in range(k - 1):
         v = [PHI * e for e in v] + v

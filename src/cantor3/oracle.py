@@ -57,11 +57,11 @@ def admissible_word(ms, word) -> bool:
     return True
 
 
-def _checked(ms, n: int, limit: int) -> tuple[int, ...]:
+def _checked(ms, n: int) -> tuple[int, ...]:
     if n < 0:
         raise ValueError(f"word length must be nonnegative, got {n}")
-    if n > limit:
-        raise RefusalError(f"brute-force count limited to n <= {limit}, got {n}")
+    if n > DEFAULT_LIMIT:
+        raise RefusalError(f"brute-force count limited to n <= {DEFAULT_LIMIT}, got {n}")
     return _values(ms)
 
 
@@ -99,26 +99,29 @@ def _count(values, n: int, accept=None) -> int:
     return count
 
 
-def brute_count(ms, n: int, limit: int = DEFAULT_LIMIT) -> int:
-    """Count admissible words in {0,1}^n by pruned depth-first enumeration."""
-    return _count(_checked(ms, n, limit), n)
+def brute_count(ms, n: int) -> int:
+    """Count admissible words in {0,1}^n by pruned depth-first enumeration.
+
+    n above DEFAULT_LIMIT is refused.
+    """
+    return _count(_checked(ms, n), n)
 
 
-def brute_count_extendable(ms, n: int, limit: int = DEFAULT_LIMIT) -> int:
+def brute_count_extendable(ms, n: int) -> int:
     """Count admissible length-n words with a guaranteed infinite continuation.
 
     Whether a word continues depends only on its pending carries, the
     vector of M*x div 3^n: every later digit of M*x is a digit of that
     carry plus M times the continuation. V = prod(1 + M div 2) bounds the
     number of distinct carry vectors, so a continuation of V digits must
-    revisit one and can therefore loop forever. The limit applies to n;
+    revisit one and can therefore loop forever. DEFAULT_LIMIT caps n;
     each distinct carry vector is probed once per call, depth-first to
     depth V, and a probe never expands the same (carries, depth) twice, so
     it costs at most V * (V + 1) steps. A probe also stops at a carry
     vector an earlier probe settled. V above PROBE_LIMIT is refused before
     anything is enumerated.
     """
-    values = _checked(ms, n, limit)
+    values = _checked(ms, n)
     V = math.prod(1 + M // 2 for M in values)
     if V > PROBE_LIMIT:
         raise RefusalError(
@@ -254,19 +257,3 @@ def return_word_bound(ms, max_len: int) -> ReturnBound:
         else:
             hi = mid
     return ReturnBound(b.multipliers, max_len, counts, lo, d)
-
-
-def dim_estimate(g, n: int) -> float:
-    """log_3(number of length-n words) / n, from exact path counts.
-
-    Converges to the dimension for strongly connected primitive
-    presentations; a sanity estimate, not a certified value.
-    """
-    from .automaton import count_paths
-
-    if n == 0:
-        return 0.0
-    c = count_paths(g, n)
-    if c == 0:
-        return 0.0
-    return math.log(c, 3) / n

@@ -27,6 +27,7 @@ from .errors import RefusalError
 LOG3 = math.log(3.0)
 CHAR_POLY_LIMIT = 64
 DENSE_COMPONENT_LIMIT = 192  # dense squaring up to here, sparse power iteration above
+QUOTIENT_GAP = 1e-9  # float quotient gap at which the power iteration stops
 _MAX_POWER_ITERATIONS = 500_000
 _MAX_SQUARINGS = 64  # 2^64 power steps
 _DENSE_GAP_FACTOR = 1e-3  # dense squaring stops at a float gap of tol times this
@@ -81,7 +82,7 @@ class CharPoly:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def pretty(self, var: str = "x") -> str:
+    def pretty(self) -> str:
         terms = []
         for p in range(self.degree, -1, -1):
             c = self.coefficients[p]
@@ -91,7 +92,7 @@ class CharPoly:
             if p == 0:
                 body = str(mag)
             else:
-                body = var if p == 1 else f"{var}^{p}"
+                body = "x" if p == 1 else f"x^{p}"
                 if mag != 1:
                     body = f"{mag}{body}"
             if not terms:
@@ -245,15 +246,13 @@ def _certify(rows, cols, v) -> tuple[Fraction, Fraction]:
             exact(q >= q.max() * (1 - 2.0**-48), 1))
 
 
-def _spectral_full(g: PointedLabeledGraph, tol: float):
+def _spectral_full(g: PointedLabeledGraph):
     """Exact bracket (lo, hi) of beta, dominant vertex set, method, iterations, component count.
 
     Each component gets an exact bracket; beta, the maximum over the
     components, then lies in [max of the lows, max of the highs]. The
     dominant component is the one with the largest bracket midpoint.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     succ = g.successors
     comps = _tarjan(succ)
     comp_of = [0] * g.n
@@ -283,9 +282,10 @@ def _spectral_full(g: PointedLabeledGraph, tol: float):
         else:
             rows, cols = np.array(edges, dtype=np.intp).T
             if k <= DENSE_COMPONENT_LIMIT:
-                method, (v, steps) = "dense_squaring", _dense_squaring(rows, cols, k, tol)
+                method, search = "dense_squaring", _dense_squaring
             else:
-                method, (v, steps) = "power_iteration", _power_iteration(rows, cols, k, tol)
+                method, search = "power_iteration", _power_iteration
+            v, steps = search(rows, cols, k, QUOTIENT_GAP)
             lo_c, hi_c = _certify(rows, cols, v)
         lo, hi = max(lo, lo_c), max(hi, hi_c)
         if best is None or lo_c + hi_c > best[0]:
@@ -294,17 +294,17 @@ def _spectral_full(g: PointedLabeledGraph, tol: float):
     return lo, hi, tuple(comp), method, steps, len(comps)
 
 
-def char_poly(a: csr_matrix, limit: int = CHAR_POLY_LIMIT) -> CharPoly:
+def char_poly(a: csr_matrix) -> CharPoly:
     """Exact characteristic polynomial by the Faddeev-LeVerrier recurrence.
 
     Integer arithmetic throughout; the division by the step index is exact.
-    Refused above `limit` (default 64): the recurrence is cubic per step and
-    this is a verification aid, never the dimension path.
+    Refused above CHAR_POLY_LIMIT (64) vertices: the recurrence is cubic per
+    step and this is a verification aid, never the dimension path.
     """
     n = a.shape[0]
-    if n > limit:
-        raise RefusalError(
-            f"characteristic polynomial limited to {limit}x{limit}, got {n}x{n}")
+    if n > CHAR_POLY_LIMIT:
+        raise RefusalError(f"characteristic polynomial limited to"
+                           f" {CHAR_POLY_LIMIT}x{CHAR_POLY_LIMIT}, got {n}x{n}")
     if n == 0:
         return CharPoly((1,))
     A = a.toarray().tolist()  # exact Python ints
@@ -360,16 +360,16 @@ def _up(x: Fraction) -> float:
     return f if f >= x else math.nextafter(f, math.inf)
 
 
-def hausdorff_dim(g: PointedLabeledGraph, tol: float = 1e-9) -> DimensionResult:
+def hausdorff_dim(g: PointedLabeledGraph) -> DimensionResult:
     """log_3 of the Perron eigenvalue of g's adjacency matrix, in an exact bracket.
 
     Requires an essential, reachable presentation (trim first); on anything
     else the dimension formula does not apply. Right-resolving holds by
-    construction. tol is the float quotient gap at which the power
-    iteration stops; dense squaring goes on far below it.
+    construction. The power iteration stops at a float quotient gap of
+    QUOTIENT_GAP; dense squaring goes on far below it.
     """
     validate(g).require("presentation")
-    lo, hi, comp, method, steps, scc_count = _spectral_full(g, tol)
+    lo, hi, comp, method, steps, scc_count = _spectral_full(g)
     assert hi >= 1, "an essential graph contains a cycle"
     return _dimension(lo, hi, method=method, dominant_component=frozenset(comp),
                       scc_count=scc_count, iterations=steps)

@@ -52,7 +52,6 @@ class Multiplier:
     """
 
     value: int
-    ternary: tuple[int, ...]
     residue: int
     normalized_from: int
 
@@ -67,8 +66,7 @@ def normalize(m: int) -> Multiplier:
     original = m
     while m % 3 == 0:
         m //= 3
-    return Multiplier(value=m, ternary=to_ternary(m), residue=m % 3,
-                      normalized_from=original)
+    return Multiplier(value=m, residue=m % 3, normalized_from=original)
 
 
 @dataclass(frozen=True)
@@ -97,6 +95,21 @@ def family_value(f: FamilyId) -> int:
     return 2 * 3 ** f.k + 1
 
 
+def parse_family(text: str) -> FamilyId:
+    """Parse a family member 'K:k', K one of L, N, P and k >= 1."""
+    text = text.strip()
+    kind, sep, index = text.partition(":")
+    if kind not in FAMILY_KINDS or not sep:
+        raise ParseError(f"expected a family like 'L:4', got {text!r}")
+    try:
+        k = int(index)
+    except ValueError:
+        raise ParseError(f"bad family index in {text!r}") from None
+    if k < 1:
+        raise ParseError(f"family index must be >= 1 in {text!r}")
+    return FamilyId(kind, k)
+
+
 def parse_multiplier(text: str) -> Multiplier:
     """Parse one multiplier: decimal '19', ternary 't:201', or family 'L:4'."""
     text = text.strip()
@@ -110,14 +123,8 @@ def parse_multiplier(text: str) -> Multiplier:
         if value == 0:
             raise ParseError("multiplier 0 is not allowed")
         return normalize(value)
-    if len(text) > 2 and text[0] in FAMILY_KINDS and text[1] == ":":
-        try:
-            k = int(text[2:])
-        except ValueError:
-            raise ParseError(f"bad family index in {text!r}") from None
-        if k < 1:
-            raise ParseError(f"family index must be >= 1 in {text!r}")
-        return normalize(family_value(FamilyId(text[0], k)))
+    if text[0] in FAMILY_KINDS and text[1:2] == ":":
+        return normalize(family_value(parse_family(text)))
     if text.isdigit():
         value = int(text)
         if value == 0:

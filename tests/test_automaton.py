@@ -117,8 +117,9 @@ def test_build_single_validates_everywhere():
         if m % 3 != 1:
             continue
         g = build_single(m)
-        rep = validate(g, [m])
-        assert rep.all_ok, (m, rep)
+        rep = validate(g)
+        assert rep.reachable and rep.essential, (m, rep)
+        assert g.n <= 1 + m // 2  # carries never exceed floor(M/2)
         # every vertex keeps an exit: label 0 works whenever carry % 3 <= 1,
         # label 1 whenever carry % 3 is 0 or 2, so one of them always applies
         assert (g.delta >= 0).any(axis=1).all()
@@ -374,7 +375,6 @@ def test_validate_flags_stranded_vertex():
         start=0,
     )
     rep = validate(g)
-    assert not rep.all_ok
     assert not rep.reachable
 
 

@@ -214,6 +214,37 @@ def test_scan_rejects_bad_range(capsys):
     assert run(capsys, "scan", "x..y")[0] == 1
 
 
+def test_scan_refuses_oversized_before_building_rows(monkeypatch, capsys):
+    import cantor3.cli as cli
+
+    built = []
+    parse = cli.parse_multiplier
+
+    def recording(text):
+        built.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(cli, "parse_multiplier", recording)
+    code, out, err = run(capsys, "scan", "1..1000000000")
+    assert code == 2 and out == "" and built == []
+    assert f"scan limited to {cli.SCAN_ROW_LIMIT} rows, got 1000000000" in err
+    # tuple specs and family ranges count too: 3 + 1 + 1 rows at a cap of 5
+    monkeypatch.setattr(cli, "SCAN_ROW_LIMIT", 5)
+    assert run(capsys, "scan", "1..3", "7,19", "L:1..1")[0] == 0
+    assert built == ["1", "2", "3", "L:1"]
+    code, _, err = run(capsys, "scan", "1..4", "7,19", "L:1..1")
+    assert code == 2 and "scan limited to 5 rows, got 6" in err
+    assert built == ["1", "2", "3", "L:1"]
+
+
+def test_precision_only_on_commands_that_print_numbers(capsys):
+    for argv in (["export", "7", "--json"], ["contain", "Y", "28"], ["iso", "4,13", "13"]):
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, *argv, "--precision", "3")[0] == 1
+    for argv in (["dim", "7"], ["scan", "7"], ["family", "L:2"]):
+        assert run(capsys, *argv, "--precision", "3")[0] == 0
+
+
 def test_family_command(capsys):
     code, out, _ = run(capsys, "family", "L:6")
     assert code == 0 and out.strip().endswith("ok")

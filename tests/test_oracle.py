@@ -16,6 +16,7 @@ from cantor3 import (
     hausdorff_dim,
     normalize,
 )
+import cantor3.oracle as oracle
 from cantor3.families import PHI
 from cantor3.oracle import (
     INT64_MAX,
@@ -115,8 +116,13 @@ def test_extension_probe_cap():
         brute_count_extendable([8194], 1)
 
 
-def test_limit_override():
-    assert brute_count([7], 24, limit=25) == 121393
+def test_limit_override(monkeypatch):
+    # n = 24 extends one full slice of 2^16 prefixes and one partial slice
+    monkeypatch.setattr(oracle, "DEFAULT_LIMIT", 25)
+    assert brute_count([7], 24) == 121393
+    monkeypatch.setattr(oracle, "DEFAULT_LIMIT", 23)
+    with pytest.raises(RefusalError, match="n <= 23, got 24"):
+        brute_count([7], 24)
 
 
 def _count_reference(ms, n):

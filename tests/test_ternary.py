@@ -7,6 +7,7 @@ from cantor3 import (
     family_value,
     from_ternary,
     normalize,
+    parse_family,
     parse_multiplier,
     parse_multiplier_list,
     render_ternary,
@@ -96,6 +97,14 @@ def test_parse_multiplier_rejects():
             parse_multiplier(bad)
 
 
+def test_parse_family():
+    assert parse_family(" N:3 ") == FamilyId("N", 3)
+    assert parse_family("P:12") == FamilyId("P", 12)
+    for bad in ("", "L", "L4", "L:", "L:0", "L:-1", "L:abc", "Q:3", "t:201", "LN:3"):
+        with pytest.raises(ParseError):
+            parse_family(bad)
+
+
 def test_parse_multiplier_list():
     values = [m.value for m in parse_multiplier_list("7,19, L:2")]
     assert values == [7, 19, 4]
@@ -108,4 +117,6 @@ def test_multiplier_fields_consistent(n):
     m = normalize(n)
     assert m.value % 3 != 0
     assert m.residue == m.value % 3
-    assert from_ternary(m.ternary) == m.value
+    assert m.normalized_from == n
+    q, r = divmod(n, m.value)
+    assert r == 0 and q == 3 ** (len(to_ternary(q)) - 1)  # only factors of 3 are stripped
