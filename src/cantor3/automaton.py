@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from math import prod
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import RefusalError
 from .ternary import Multiplier, normalize, render_ternary
@@ -602,6 +601,8 @@ def _count_paths_limbs(g: PointedLabeledGraph, n: int) -> int:
     than 2^b plus the carry from below; b = 49 - ceil(log2 D) leaves about
     14 steps between carries at D = 2.
     """
+    from scipy.sparse import csr_matrix
+
     src, dst, _ = g.edge_arrays()
     A = csr_matrix((np.ones(len(src), dtype=np.int64), (dst, src)), shape=(g.n, g.n))
     D = max(1, int(A.sum(axis=1).max()))

@@ -11,7 +11,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from time import perf_counter
 
 from .automaton import (
@@ -32,6 +31,10 @@ from .ternary import family_value, parse_family, parse_multiplier, parse_multipl
 # are refused up front: 100 000 single rows take about 0.7 s and 50 MB to
 # list (2-vCPU Xeon).
 SCAN_ROW_LIMIT = 100_000
+
+# `family` reports ok when the computed dimension is within this of the
+# closed form (and the vertex and SCC counts match).
+FAMILY_DIM_TOL = 1e-6
 
 CSV_HEADER = ("multipliers", "vertices", "sccs", "beta", "dim", "error_bound", "elapsed_ms", "error")
 
@@ -134,6 +137,9 @@ def cmd_scan(args) -> int:
     # the pool forks every worker up front, so never ask for more than can run
     jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
     if jobs > 1:
+        # imported here: the pool pulls in multiprocessing, which serial runs never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_scan_row, tasks))
     else:
@@ -207,7 +213,7 @@ def cmd_family(args) -> int:
         print(f"{fam} value={value} dim={r.dim:.{p}f} vertices={g.n} (no closed form)")
         return 0
     exp = expect_L(fam.k) if fam.kind == "L" else expect_N(fam.k)
-    dim_ok = abs(r.dim - exp.expected_dim) <= args.tol
+    dim_ok = abs(r.dim - exp.expected_dim) <= FAMILY_DIM_TOL
     shape_ok = g.n == exp.expected_vertices and r.scc_count == exp.expected_scc_count
     status = "ok" if dim_ok and shape_ok else "MISMATCH"
     print(
@@ -285,7 +291,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("family", help="compare a family member against its closed form")
     sp.add_argument("family", help="'L:4', 'N:3', or 'P:2'")
-    sp.add_argument("--tol", type=float, default=1e-6, help="dimension tolerance")
     reporting(sp)
     sp.set_defaults(func=cmd_family)
 

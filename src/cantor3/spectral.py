@@ -17,12 +17,15 @@ that rounding cannot break, and only its width depends on the vector.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .automaton import PointedLabeledGraph, validate
 from .errors import RefusalError
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 LOG3 = math.log(3.0)
 CHAR_POLY_LIMIT = 64
@@ -102,8 +105,13 @@ class CharPoly:
         return " ".join(terms) if terms else "0"
 
 
-def adjacency(g: PointedLabeledGraph) -> csr_matrix:
-    """Edge multiplicities as an int64 sparse matrix in the graph's own vertex order."""
+def adjacency(g: PointedLabeledGraph) -> "csr_matrix":
+    """Edge multiplicities as an int64 sparse matrix in the graph's own vertex order.
+
+    Loads scipy.sparse on first call; `import cantor3` does not.
+    """
+    from scipy.sparse import csr_matrix
+
     rows, cols, _ = g.edge_arrays()
     ones = np.ones(len(rows), dtype=np.int64)
     return csr_matrix((ones, (rows, cols)), shape=(g.n, g.n))  # duplicates are summed
@@ -196,6 +204,8 @@ def _power_iteration(rows, cols, k: int, tol: float):
     Iterates v -> (A+I)v until the float quotients ((A+I)v)_i / v_i, which
     converge for a primitive matrix, lie within tol of each other.
     """
+    from scipy.sparse import csr_matrix
+
     diag = np.arange(k)
     B = csr_matrix((np.ones(len(rows) + k),
                     (np.concatenate((rows, diag)), np.concatenate((cols, diag)))),
@@ -294,12 +304,13 @@ def _spectral_full(g: PointedLabeledGraph):
     return lo, hi, tuple(comp), method, steps, len(comps)
 
 
-def char_poly(a: csr_matrix) -> CharPoly:
+def char_poly(a: "csr_matrix") -> CharPoly:
     """Exact characteristic polynomial by the Faddeev-LeVerrier recurrence.
 
     Integer arithmetic throughout; the division by the step index is exact.
     Refused above CHAR_POLY_LIMIT (64) vertices: the recurrence is cubic per
-    step and this is a verification aid, never the dimension path.
+    step and this is a verification aid, never the dimension path. Its
+    argument comes from adjacency(), which loads scipy.sparse.
     """
     n = a.shape[0]
     if n > CHAR_POLY_LIMIT:

@@ -18,6 +18,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def src_env() -> dict:
+    """The environment of a subprocess that imports cantor3 from this checkout's src."""
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
+def python(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=src_env(), timeout=120)
+
+
 def test_dim_examples(capsys):
     code, out, _ = run(capsys, "dim", "7")
     assert code == 0
@@ -245,6 +255,11 @@ def test_precision_only_on_commands_that_print_numbers(capsys):
         assert run(capsys, *argv, "--precision", "3")[0] == 0
 
 
+def test_family_tolerance_is_not_an_option(capsys):
+    assert run(capsys, "family", "L:4")[0] == 0
+    assert run(capsys, "family", "L:4", "--tol", "1e-3")[0] == 1  # cli.FAMILY_DIM_TOL
+
+
 def test_family_command(capsys):
     code, out, _ = run(capsys, "family", "L:6")
     assert code == 0 and out.strip().endswith("ok")
@@ -271,6 +286,8 @@ def test_check_oracle_suite(capsys):
 
 
 def test_scan_jobs_clamped_to_cpus_and_tasks(monkeypatch, capsys):
+    import concurrent.futures
+
     import cantor3.cli as cli
 
     sizes = []
@@ -290,7 +307,8 @@ def test_scan_jobs_clamped_to_cpus_and_tasks(monkeypatch, capsys):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # cmd_scan imports the pool from concurrent.futures only when it runs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     _, serial, _ = run(capsys, "scan", "4..13", "--csv")
     _, pooled, _ = run(capsys, "scan", "4..13", "--csv", "--jobs", "100000")
@@ -361,12 +379,52 @@ def test_closed_stdout_ends_quietly(monkeypatch, capsys):
 
 def test_closed_pipe_ends_quietly_end_to_end():
     # more than a pipe buffer of output, and the reader leaves after one line
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.Popen([sys.executable, "-m", "cantor3.cli", "export", "4782970", "--json"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env())
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_python_dash_m_cantor3_runs_the_cli():
+    proc = python("-m", "cantor3", "dim", "7")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("beta=1.618034 dim=0.438018 vertices=4 sccs=1")
+    proc = python("-m", "cantor3", "dim", "x")
+    assert proc.returncode == 1 and proc.stdout == ""  # main's exit code is the process's
+
+
+_LOADED = """
+import contextlib, io, json, sys
+import cantor3.cli as cli
+from cantor3 import build_multi, count_paths, parse_multiplier_list
+
+def loaded(after):
+    mods = ("scipy", "scipy.sparse", "multiprocessing")
+    print(json.dumps([after, [m for m in mods if m in sys.modules]]))
+
+loaded("import")
+for argv in (["dim", "7"], ["scan", "1..300", "--csv"], ["contain", "Y", "N:3"],
+             ["iso", "L:2,L:4", "L:4"], ["blocks", "7", "--n", "12"], ["dim", "N:10"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    loaded(" ".join(argv))
+    if argv[0] == "blocks":
+        count_paths(build_multi(parse_multiplier_list("N:3")), 200)
+        loaded("count_paths")
+"""
+
+
+def test_scipy_and_multiprocessing_load_only_where_used():
+    proc = python("-c", _LOADED)
+    assert proc.returncode == 0, proc.stderr
+    loaded = dict(json.loads(line) for line in proc.stdout.splitlines())
+    light = ["import", "dim 7", "scan 1..300 --csv", "contain Y N:3", "iso L:2,L:4 L:4",
+             "blocks 7 --n 12", "count_paths"]
+    assert list(loaded) == light + ["dim N:10"]
+    assert all(loaded[k] == [] for k in light), loaded
+    # N:10 is one 1024-vertex component, past the dense limit: sparse power iteration
+    assert "scipy.sparse" in loaded["dim N:10"]
