@@ -67,6 +67,20 @@ def _join(chunks: list) -> np.ndarray:
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
+def successor_lists(src: np.ndarray, dst: np.ndarray, n: int) -> list[list[int]]:
+    """dst grouped into one Python list per vertex 0..n-1, for edges sorted by src."""
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    flat = dst.tolist()
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def gather(ptr: np.ndarray, items: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """items[ptr[v]:ptr[v + 1]] for every v in vs, concatenated, and the length of each run."""
+    lo, sizes = ptr[vs], ptr[vs + 1] - ptr[vs]
+    idx = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+    return items[idx], sizes
+
+
 class PointedLabeledGraph:
     """Immutable pointed presentation, right-resolving by construction.
 
@@ -77,8 +91,9 @@ class PointedLabeledGraph:
 
     vertices (the carry vectors as int tuples), edges ((src, dst, label)
     triples, source by source in label order), successors (destinations
-    per vertex in label order) and edge_arrays() are views computed from
-    the tables on first read and kept.
+    per vertex in label order), edge_arrays() and the reverse adjacency
+    that in_edges() reads are views computed from the tables on first read
+    and kept.
 
     The constructor takes an edge list from outside, checks it once and
     finds out once whether every vertex is reachable from the start;
@@ -150,13 +165,7 @@ class PointedLabeledGraph:
     @property
     def successors(self) -> list[list[int]]:
         """Destinations per vertex in label order, for the Python graph walks."""
-        def make():
-            src, dst, _ = self.edge_arrays()  # source by source
-            ends = np.cumsum(np.bincount(src, minlength=self.n)).tolist()
-            flat = dst.tolist()
-            return [flat[a:b] for a, b in zip([0] + ends, ends)]
-
-        return self._view("successors", make)
+        return self._view("successors", lambda: successor_lists(*self.edge_arrays()[:2], self.n))
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(src, dst, label) index arrays, source by source in label order."""
@@ -166,6 +175,24 @@ class PointedLabeledGraph:
             return src, self.delta[has], lab
 
         return self._view("arrays", make)
+
+    def out_edges(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(w, k): the destinations of the edges out of each vertex of vs,
+        concatenated with repeats, and how many edges leave each."""
+        nxt = self.delta[vs]
+        has = nxt >= 0
+        return nxt[has], has.sum(axis=1)
+
+    def in_edges(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(p, k): the sources of the edges into each vertex of vs,
+        concatenated with repeats, and how many edges enter each."""
+        def make():
+            src, dst, _ = self.edge_arrays()
+            ptr = np.zeros(self.n + 1, dtype=np.intp)
+            np.cumsum(np.bincount(dst, minlength=self.n), out=ptr[1:])
+            return ptr, src[np.argsort(dst, kind="stable")]
+
+        return gather(*self._view("reverse", make), vs)
 
     def reachable_set(self) -> set[int]:
         """Vertices reachable from the start, by BFS over the label table."""
@@ -425,20 +452,12 @@ def trim_essential(g: PointedLabeledGraph) -> PointedLabeledGraph:
             g._essential = bool(outdeg[g.start])
         return g
     alive = np.ones(n, dtype=bool)
-    if len(dead):
-        src, dst, _ = g.edge_arrays()
-        preds = src[np.argsort(dst, kind="stable")]
-        ptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(dst, minlength=n), out=ptr[1:])
-        while len(dead):
-            alive[dead] = False
-            # the predecessors of every dead vertex: preds[ptr[v]:ptr[v + 1]], concatenated
-            lo, sizes = ptr[dead], ptr[dead + 1] - ptr[dead]
-            idx = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-            p = preds[idx]
-            p, k = np.unique(p[alive[p]], return_counts=True)
-            outdeg[p] -= k
-            dead = p[(outdeg[p] == 0) & (p != g.start)]
+    while len(dead):
+        alive[dead] = False
+        p = g.in_edges(dead)[0]
+        p, k = np.unique(p[alive[p]], return_counts=True)
+        outdeg[p] -= k
+        dead = p[(outdeg[p] == 0) & (p != g.start)]
     if not g._reachable:
         succ, ok = g.successors, alive.tolist()
         ok[g.start] = False

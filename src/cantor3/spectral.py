@@ -3,12 +3,24 @@
 The Hausdorff dimension of the fractal presented by a pointed graph is
 log_3 of the spectral radius of the adjacency matrix, and the radius is the
 maximum over strongly connected components. Everything here reads the
-graph's label table directly. Components that are bare cycles (or a lone
-vertex, with or without loops) are handled exactly. Every other component
-gets a positive vector v from the shifted matrix A + I, which is primitive
-whenever A is irreducible: by repeated squaring of the dense matrix up to
-DENSE_COMPONENT_LIMIT vertices, by sparse power iteration above. The
-Collatz-Wielandt quotients (Av)_i / v_i of any positive v bracket the
+graph's label table directly.
+
+Components come from one of two searches, by the graph's edge count. Below
+ARRAY_EDGE_CUTOFF, iterative Tarjan over successor lists, with a Python
+loop that splits the edges by component. At or above it, a numpy
+forward-backward search (peel the vertices on no cycle, then intersect the
+forward and backward reach of a pivot, level by level; Tarjan takes what
+is left after a bounded number of rounds and levels) and a split by one
+stable argsort. Either way the labels are kept as a graph view, so scc()
+after hausdorff_dim() does not search again.
+
+Components that are bare cycles (or a lone vertex, with or without loops)
+are handled exactly. Every other component gets a positive vector v from a
+shifted matrix A + cI, which is primitive whenever A is irreducible and
+c > 0: by repeated squaring of the dense matrix with c = 1 up to
+DENSE_COMPONENT_LIMIT vertices, by sparse power iteration with
+c = POWER_SHIFT above (a smaller shift takes fewer steps on these graphs).
+The Collatz-Wielandt quotients (Av)_i / v_i of any positive v bracket the
 Perron root from both sides (Meyer, Matrix Analysis, 8.3); _certify takes
 their min and max in exact integer arithmetic, so the bracket is a proof
 that rounding cannot break, and only its width depends on the vector.
@@ -21,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .automaton import PointedLabeledGraph, validate
+from .automaton import PointedLabeledGraph, gather, successor_lists, validate
 from .errors import RefusalError
 
 if TYPE_CHECKING:
@@ -34,6 +46,14 @@ QUOTIENT_GAP = 1e-9  # float quotient gap at which the power iteration stops
 _MAX_POWER_ITERATIONS = 500_000
 _MAX_SQUARINGS = 64  # 2^64 power steps
 _DENSE_GAP_FACTOR = 1e-3  # dense squaring stops at a float gap of tol times this
+POWER_SHIFT = 0.1  # the power iteration runs on A + POWER_SHIFT * I
+# Graphs with at least this many edges take the array path: SCCs by numpy
+# forward-backward search and a numpy component split. Below it Tarjan and
+# the Python split are faster; the value is the measured crossover, see
+# README "Spectral layer".
+ARRAY_EDGE_CUTOFF = 2048
+_SEARCH_ROUNDS = 8  # rounds of the numpy SCC search before Tarjan takes the rest
+_SEARCH_LEVEL_EDGES = 32  # and one breadth-first level per this many edges
 
 
 def log3(x: float) -> float:
@@ -42,8 +62,17 @@ def log3(x: float) -> float:
 
 @dataclass(frozen=True)
 class SccDecomposition:
-    """Strongly connected components in discovery order, which is reverse
-    topological order of the condensation DAG."""
+    """Strongly connected components in emission order, a reverse
+    topological order of the condensation DAG: every edge between two
+    components runs from a later one to an earlier one.
+
+    Below ARRAY_EDGE_CUTOFF edges the order is the one in which Tarjan's
+    search completes them; at or above it, components are sorted by level
+    (0 for a sink, else one more than the highest level among the
+    successors), then by smallest member. hausdorff_dim names as dominant
+    the first component in this order with the largest bracket sum
+    lo_c + hi_c.
+    """
 
     components: tuple[frozenset[int], ...]
 
@@ -167,9 +196,172 @@ def _tarjan(succ: list[list[int]]) -> list[list[int]]:
     return comps
 
 
+def _tarjan_components(g: PointedLabeledGraph) -> list[list[int]]:
+    """Tarjan's components of g, each in pop order, kept as a graph view."""
+    return g._view("tarjan", lambda: _tarjan(g.successors))
+
+
+def _peel(g: PointedLabeledGraph, color, comp, found: int) -> int:
+    """Make every vertex without an in-edge or an out-edge inside its color a
+    component of its own, until none is left; returns the components found.
+
+    color[v] is v's part of the search (-1 once v has a component), and
+    every part is a union of components, so such a vertex lies on no cycle.
+    """
+    src, dst, _ = g.edge_arrays()
+    live = color >= 0
+    same = live[src] & (color[src] == color[dst])
+    outdeg = np.bincount(src[same], minlength=g.n)
+    indeg = np.bincount(dst[same], minlength=g.n)
+    dead = np.flatnonzero(live & ((outdeg == 0) | (indeg == 0)))
+    while len(dead):
+        c = color[dead]
+        color[dead] = -1
+        comp[dead] = np.arange(found, found + len(dead))
+        found += len(dead)
+        near = []
+        # successors inside the color lose an in-edge, predecessors an out-edge
+        for edges, degree in ((g.out_edges, indeg), (g.in_edges, outdeg)):
+            w, k = edges(dead)
+            w = w[color[w] == np.repeat(c, k)]
+            np.subtract.at(degree, w, 1)
+            near.append(w)
+        near = np.unique(np.concatenate(near))
+        dead = near[(outdeg[near] == 0) | (indeg[near] == 0)]
+    return found
+
+
+def _reach(g: PointedLabeledGraph, color, pivots, edges, limit: float):
+    """The vertices reached from the pivots inside their own colors, level by
+    level along edges (g.out_edges forward, g.in_edges backward), and the
+    number of levels; None once that number would pass limit."""
+    seen = np.zeros(g.n, dtype=bool)
+    seen[pivots] = True
+    slot = np.empty(g.n, dtype=np.intp)
+    front, level = pivots, 0
+    while len(front):
+        if level >= limit:
+            return None
+        level += 1
+        w, k = edges(front)
+        w = w[(color[w] == np.repeat(color[front], k)) & ~seen[w]]
+        # keep one copy of each vertex: whichever write to slot lands last names it
+        slot[w] = idx = np.arange(len(w))
+        front = w[slot[w] == idx]
+        seen[front] = True
+    return seen, level
+
+
+def _tarjan_rest(g: PointedLabeledGraph, live, comp, found: int) -> int:
+    """Label the components of the subgraph on the vertices live, a union of
+    components, by Tarjan; returns the components found."""
+    local = np.full(g.n, -1, dtype=np.intp)
+    local[live] = np.arange(len(live))
+    src, dst, _ = g.edge_arrays()
+    s, d = local[src], local[dst]
+    keep = (s >= 0) & (d >= 0)
+    for c in _tarjan(successor_lists(s[keep], d[keep], len(live))):
+        comp[live[c]] = found
+        found += 1
+    return found
+
+
+def _array_sccs(g: PointedLabeledGraph) -> np.ndarray:
+    """Component label per vertex by forward-backward search, in emission order.
+
+    Every vertex starts in color 0. Each round peels the vertices that lie
+    on no cycle inside their color, then takes the lowest vertex of every
+    color as its pivot: the vertices of the color reached from it both
+    forward and backward are its component. The rest of the color splits
+    three ways (reached forward only, backward only, neither), and each
+    piece is a union of components, so it becomes a color of its own.
+
+    Each round passes over all edges, and each level makes about ten numpy
+    calls, so on long chains of components the search would be quadratic,
+    or slow against Tarjan. After _SEARCH_ROUNDS rounds, or once the levels
+    pass edge count / _SEARCH_LEVEL_EDGES, Tarjan labels the vertices still
+    without a component.
+    """
+    n = g.n
+    color = np.zeros(n, dtype=np.intp)
+    comp = np.empty(n, dtype=np.intp)
+    found = 0
+    levels = g.edge_count / _SEARCH_LEVEL_EDGES
+    for _ in range(_SEARCH_ROUNDS):
+        found = _peel(g, color, comp, found)
+        live = np.flatnonzero(color >= 0)
+        if not len(live):
+            return _emission_order(g, comp, found)
+        _, first, color[live] = np.unique(color[live], return_index=True, return_inverse=True)
+        pivots = live[first]  # the lowest vertex of every color
+        fw = _reach(g, color, pivots, g.out_edges, levels)
+        if fw is None:
+            break
+        bw = _reach(g, color, pivots, g.in_edges, levels - fw[1])
+        if bw is None:
+            break
+        levels -= fw[1] + bw[1]
+        part = fw[0][live].astype(np.intp) + 2 * bw[0][live]
+        inside = part == 3
+        comp[live[inside]] = found + color[live[inside]]
+        found += len(pivots)
+        color[live] = np.where(inside, -1, 3 * color[live] + part)
+    found = _tarjan_rest(g, np.flatnonzero(color >= 0), comp, found)
+    return _emission_order(g, comp, found)
+
+
+def _emission_order(g: PointedLabeledGraph, comp, count: int) -> np.ndarray:
+    """comp renumbered by level in the condensation DAG, then by smallest member.
+
+    A sink component has level 0, any other one more than the highest
+    level among its successors, so every edge between two components runs
+    from a later one to an earlier one: reverse topological order.
+    """
+    src, dst, _ = g.edge_arrays()
+    a, b = comp[src], comp[dst]
+    cross = a != b
+    a, b = a[cross], b[cross]
+    outdeg = np.bincount(a, minlength=count)
+    ptr = np.zeros(count + 1, dtype=np.intp)
+    np.cumsum(np.bincount(b, minlength=count), out=ptr[1:])
+    preds = a[np.argsort(b, kind="stable")]
+    level = np.empty(count, dtype=np.intp)
+    front, h = np.flatnonzero(outdeg == 0), 0
+    while len(front):
+        level[front] = h
+        h += 1
+        p = gather(ptr, preds, front)[0]
+        np.subtract.at(outdeg, p, 1)
+        p = np.unique(p)
+        front = p[outdeg[p] == 0]
+    smallest = np.unique(comp, return_index=True)[1]  # vertex numbers ascend
+    rank = np.empty(count, dtype=np.intp)
+    rank[np.lexsort((smallest, level))] = np.arange(count)
+    return rank[comp]
+
+
+def scc_labels(g: PointedLabeledGraph) -> np.ndarray:
+    """Component index per vertex, components numbered in emission order.
+
+    Kept as a graph view, so the spectral layer, scc() and the checks
+    search once per graph.
+    """
+    def make():
+        if g.edge_count < ARRAY_EDGE_CUTOFF:
+            label = np.empty(g.n, dtype=np.intp)
+            for c, comp in enumerate(_tarjan_components(g)):
+                label[comp] = c
+            return label
+        return _array_sccs(g)
+
+    return g._view("scc", make)
+
+
 def scc(g: PointedLabeledGraph) -> SccDecomposition:
-    """Strongly connected components in reverse topological order."""
-    return SccDecomposition(components=tuple(frozenset(c) for c in _tarjan(g.successors)))
+    """Strongly connected components in emission order (see SccDecomposition)."""
+    label = scc_labels(g)
+    members = np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1])
+    return SccDecomposition(components=tuple(frozenset(m.tolist()) for m in members))
 
 
 def _dense_squaring(rows, cols, k: int, tol: float):
@@ -201,13 +393,15 @@ def _dense_squaring(rows, cols, k: int, tol: float):
 def _power_iteration(rows, cols, k: int, tol: float):
     """Positive vector of one irreducible component, and the power steps taken.
 
-    Iterates v -> (A+I)v until the float quotients ((A+I)v)_i / v_i, which
-    converge for a primitive matrix, lie within tol of each other.
+    Iterates v -> (A + cI)v, c = POWER_SHIFT, until the float quotients
+    ((A + cI)v)_i / v_i, which converge for a primitive matrix, lie within
+    tol of each other; the shift moves every quotient by c, so their gap
+    is that of A.
     """
     from scipy.sparse import csr_matrix
 
     diag = np.arange(k)
-    B = csr_matrix((np.ones(len(rows) + k),
+    B = csr_matrix((np.concatenate((np.ones(len(rows)), np.full(k, POWER_SHIFT))),
                     (np.concatenate((rows, diag)), np.concatenate((cols, diag)))),
                    shape=(k, k))  # duplicates are summed
     v = np.ones(k)
@@ -256,15 +450,29 @@ def _certify(rows, cols, v) -> tuple[Fraction, Fraction]:
             exact(q >= q.max() * (1 - 2.0**-48), 1))
 
 
+def _component_bracket(rows, cols, k: int):
+    """Exact bracket, method and steps for one component that is neither a lone
+    vertex nor a bare cycle, its k vertices and edges in local indices."""
+    if k <= DENSE_COMPONENT_LIMIT:
+        method, search = "dense_squaring", _dense_squaring
+    else:
+        method, search = "power_iteration", _power_iteration
+    v, steps = search(rows, cols, k, QUOTIENT_GAP)
+    return *_certify(rows, cols, v), method, steps
+
+
 def _spectral_full(g: PointedLabeledGraph):
     """Exact bracket (lo, hi) of beta, dominant vertex set, method, iterations, component count.
 
     Each component gets an exact bracket; beta, the maximum over the
     components, then lies in [max of the lows, max of the highs]. The
-    dominant component is the one with the largest bracket midpoint.
+    dominant component is the first, in emission order, with the largest
+    bracket sum lo_c + hi_c.
     """
+    if g.edge_count >= ARRAY_EDGE_CUTOFF:
+        return _spectral_arrays(g)
     succ = g.successors
-    comps = _tarjan(succ)
+    comps = _tarjan_components(g)
     comp_of = [0] * g.n
     local = [0] * g.n
     for c, comp in enumerate(comps):
@@ -290,18 +498,50 @@ def _spectral_full(g: PointedLabeledGraph):
             lo_c = hi_c = Fraction(1)
             method, steps = "exact_trivial", 0
         else:
-            rows, cols = np.array(edges, dtype=np.intp).T
-            if k <= DENSE_COMPONENT_LIMIT:
-                method, search = "dense_squaring", _dense_squaring
-            else:
-                method, search = "power_iteration", _power_iteration
-            v, steps = search(rows, cols, k, QUOTIENT_GAP)
-            lo_c, hi_c = _certify(rows, cols, v)
+            lo_c, hi_c, method, steps = _component_bracket(
+                *np.array(edges, dtype=np.intp).T, k)
         lo, hi = max(lo, lo_c), max(hi, hi_c)
         if best is None or lo_c + hi_c > best[0]:
             best = (lo_c + hi_c, comp, method, steps)
     _, comp, method, steps = best
-    return lo, hi, tuple(comp), method, steps, len(comps)
+    return lo, hi, frozenset(comp), method, steps, len(comps)
+
+
+def _spectral_arrays(g: PointedLabeledGraph):
+    """_spectral_full at or above ARRAY_EDGE_CUTOFF edges: the same brackets
+    and dominance rule, with the components split in numpy.
+
+    One stable argsort of the labels groups the vertices by component,
+    in global order within each, which gives the local indices; a second
+    groups the inner edges by component, in edge order within each. Lone
+    vertices and bare cycles are settled for all components at once.
+    """
+    label = scc_labels(g)
+    src, dst, _ = g.edge_arrays()
+    count = int(label.max()) + 1
+    ls = label[src]
+    inner = np.flatnonzero(ls == label[dst])
+    inner = inner[np.argsort(ls[inner], kind="stable")]
+    size = np.bincount(label, minlength=count)
+    edges = np.bincount(ls[inner], minlength=count)
+    local = np.empty(g.n, dtype=np.intp)
+    local[np.argsort(label, kind="stable")] = np.arange(g.n) - np.repeat(np.cumsum(size) - size, size)
+    ends = np.cumsum(edges)
+    brackets = {}  # component -> (lo_c, hi_c, method, steps)
+    settled = (size == 1) | (edges == size)
+    if settled.any():
+        # a lone vertex has its loop count as radius, a bare cycle radius 1;
+        # of these only the first with the largest radius can be dominant
+        radius = np.where(settled, np.where(size == 1, edges, 1), -1)
+        c = int(np.argmax(radius))
+        brackets[c] = (Fraction(int(radius[c])),) * 2 + ("exact_trivial", 0)
+    for c in np.flatnonzero(~settled).tolist():
+        e = inner[ends[c] - edges[c]:ends[c]]
+        brackets[c] = _component_bracket(local[src[e]], local[dst[e]], int(size[c]))
+    best = min(brackets, key=lambda c: (-(brackets[c][0] + brackets[c][1]), c))
+    _, _, method, steps = brackets[best]
+    return (max(b[0] for b in brackets.values()), max(b[1] for b in brackets.values()),
+            frozenset(np.flatnonzero(label == best).tolist()), method, steps, count)
 
 
 def char_poly(a: "csr_matrix") -> CharPoly:
@@ -382,7 +622,7 @@ def hausdorff_dim(g: PointedLabeledGraph) -> DimensionResult:
     validate(g).require("presentation")
     lo, hi, comp, method, steps, scc_count = _spectral_full(g)
     assert hi >= 1, "an essential graph contains a cycle"
-    return _dimension(lo, hi, method=method, dominant_component=frozenset(comp),
+    return _dimension(lo, hi, method=method, dominant_component=comp,
                       scc_count=scc_count, iterations=steps)
 
 

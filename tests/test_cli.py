@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -428,3 +429,12 @@ def test_scipy_and_multiprocessing_load_only_where_used():
     assert all(loaded[k] == [] for k in light), loaded
     # N:10 is one 1024-vertex component, past the dense limit: sparse power iteration
     assert "scipy.sparse" in loaded["dim N:10"]
+
+
+def test_scan_csv_is_pinned(capsys):
+    # columns 1-6 and 8 of the CSV, as `cut -d, -f1-6,8` prints them; 7 is the time
+    code, out, _ = run(capsys, "scan", "1..3000", "--csv", "--precision", "12")
+    assert code == 0
+    cut = "".join(",".join(f[:6] + f[7:8]) + "\n" for f in (line.split(",") for line in out.splitlines()))
+    assert hashlib.sha256(cut.encode()).hexdigest() == (
+        "5e30e2620d489ec0a224790e8f25dd32771f4ae17fe8b1baf14725e1c55fe8a2")

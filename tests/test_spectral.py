@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -307,4 +308,108 @@ def test_certify_scales_exactly_when_int64_would_zero_an_entry():
     v[2] = 2.0**-60  # rint(v_2 * 2^52) would be 0
     lo, hi = spectral._certify(rows, cols, v)
     assert lo < hi
+    assert lo * lo - lo - 1 <= 0 <= hi * hi - hi - 1
+
+
+def _partition(comps):
+    return {frozenset(c) for c in comps}
+
+
+def _array_path(monkeypatch):
+    monkeypatch.setattr(spectral, "ARRAY_EDGE_CUTOFF", 0)
+
+
+def _fresh(g):
+    """The same presentation without the views g has already computed."""
+    return PointedLabeledGraph._make(g.delta, g.carries, g.start, g.provenance)
+
+
+def _assert_reverse_topological(g, components):
+    pos = {v: i for i, comp in enumerate(components) for v in comp}
+    src, dst, _ = g.edge_arrays()
+    # no edge runs from an earlier component to a later one
+    assert all(pos[s] >= pos[d] for s, d in zip(src.tolist(), dst.tolist()))
+
+
+# (rounds, edges per level) of the numpy search before Tarjan takes the rest:
+# unbounded, one round, few levels, Tarjan alone
+_SEARCH_BUDGETS = [(10**9, 1e-9), (1, 1e-9), (10**9, 4), (0, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=24).flatmap(lambda n: st.tuples(
+    # half the cells empty, so that graphs break into many components
+    st.lists(st.lists(st.one_of(st.just(-1), st.integers(min_value=0, max_value=n - 1)),
+                      min_size=3, max_size=3),
+             min_size=n, max_size=n),
+    st.integers(min_value=0, max_value=n - 1))), st.sampled_from(_SEARCH_BUDGETS))
+def test_array_sccs_partition_equals_tarjan_on_label_tables(table_start, budget):
+    table, start = table_start
+    edges = [(s, d, a) for s, row in enumerate(table) for a, d in enumerate(row) if d >= 0]
+    g = PointedLabeledGraph([(i,) for i in range(len(table))], edges, start)
+    with mock.patch.multiple(spectral, _SEARCH_ROUNDS=budget[0], _SEARCH_LEVEL_EDGES=budget[1]):
+        label = spectral._array_sccs(g)
+    comps = [np.flatnonzero(label == c).tolist() for c in range(label.max() + 1)]
+    assert all(comps)  # labels are 0..count-1, none skipped
+    assert _partition(comps) == _partition(spectral._tarjan(g.successors))
+    _assert_reverse_topological(g, comps)
+
+
+def _chain_of_cycles(k):
+    """k two-cycles in a row, each with an edge into the next: k components, k levels deep."""
+    edges = [(v, v ^ 1, 0) for v in range(2 * k)] + [(2 * i, 2 * i + 2, 1) for i in range(k - 1)]
+    return PointedLabeledGraph([(v,) for v in range(2 * k)], edges, 0)
+
+
+@pytest.mark.parametrize("spec", [[family_value(FamilyId("N", 14))], [2**20], [2**24, 2**26],
+                                  "chain"])
+def test_array_sccs_match_tarjan_on_large_graphs(spec, monkeypatch):
+    _array_path(monkeypatch)
+    # the chain runs out of search rounds and levels, and Tarjan takes the rest
+    g = _chain_of_cycles(3000) if spec == "chain" else build_multi(spec)
+    comps = scc(g).components
+    assert _partition(comps) == _partition(spectral._tarjan(g.successors))
+    _assert_reverse_topological(g, comps)
+    assert hausdorff_dim(g).scc_count == len(comps)
+
+
+def _induced_bracket(g, comp):
+    vs = sorted(comp)
+    index = {v: i for i, v in enumerate(vs)}
+    edges = [(index[s], index[d], a) for s, d, a in g.edges if s in index and d in index]
+    return _bracket(hausdorff_dim(PointedLabeledGraph([(i,) for i in vs], edges, 0)))
+
+
+def test_dominant_component_is_the_same_on_both_paths(monkeypatch):
+    specs = [[m] for m in range(4, 500, 3)] + [[2**20], [2**24, 2**26], [1000003], [4, 256]]
+    for spec in specs:
+        g = build_multi(spec)
+        tarjan = hausdorff_dim(g)
+        with monkeypatch.context() as m:
+            _array_path(m)
+            array = hausdorff_dim(_fresh(g))
+        assert array.scc_count == tarjan.scc_count, spec
+        if array.dominant_component != tarjan.dominant_component:
+            # the maximum is not unique: the two components' brackets overlap
+            lo1, hi1 = _induced_bracket(g, tarjan.dominant_component)
+            lo2, hi2 = _induced_bracket(g, array.dominant_component)
+            assert lo1 <= hi2 and lo2 <= hi1, spec
+
+
+def test_scc_after_hausdorff_dim_searches_once(monkeypatch):
+    for search, g in (("_array_sccs", build_multi([2**20])), ("_tarjan", build_single(19))):
+        calls = []
+        original = getattr(spectral, search)
+        with monkeypatch.context() as m:
+            m.setattr(spectral, search, lambda *a: calls.append(1) or original(*a))
+            r = hausdorff_dim(g)
+            comps = scc(g).components
+        assert len(calls) == 1, search
+        assert r.scc_count == len(comps) and r.dominant_component in comps
+
+
+@pytest.mark.parametrize("k", range(9, 17))
+def test_N_bracket_contains_phi(k):
+    g = build_single(family_value(FamilyId("N", k)))
+    lo, hi = _bracket(hausdorff_dim(g))
     assert lo * lo - lo - 1 <= 0 <= hi * hi - hi - 1
