@@ -25,9 +25,9 @@ multiplier and admits a digit that every multiplier admits.
 
 The construction is one breadth-first search over carry vectors, level by
 level, with each vertex's children in label order. Levels at least
-NUMPY_LEVEL_WIDTH wide are stepped in numpy, narrower ones in Python; both
-number new carry vectors in order of first occurrence, so the vertex order
-is the same either way.
+NUMPY_LEVEL_WIDTH wide are stepped in numpy, in key order, narrower ones in
+Python, vertex by vertex; both number new carry vectors in order of first
+occurrence, so the vertex order is the same either way.
 """
 
 import json
@@ -42,11 +42,12 @@ from .ternary import Multiplier, normalize, render_ternary
 
 DEFAULT_MAX_VERTICES = 2_000_000
 
-# Levels of the carry search at least this wide are stepped in numpy, with
-# a sorted array of the carry vectors seen so far; narrower levels run a
-# per-vertex Python loop over a dict. A numpy level costs about 130 us
-# before any vertex, so it loses on narrow levels; the value is the
-# measured crossover, see README "Construction".
+# Levels of the carry search at least this wide are stepped in numpy, in
+# key order against a sorted array of the carry vectors seen so far;
+# narrower levels run a per-vertex Python loop over a dict. A numpy level
+# pays a fixed cost in numpy calls, so it loses on narrow levels; the value
+# is the crossover measured for an earlier, costlier numpy step, see README
+# "Construction".
 NUMPY_LEVEL_WIDTH = 128
 
 # Carry vectors are keyed by one mixed-radix integer. In numpy that key, and
@@ -251,6 +252,11 @@ class _CarrySearch:
     of first occurrence, in the Python steps (a dict of keys) and the numpy
     steps (a sorted key array, merged once per level) alike. Each side's
     index is brought up to date only when the search switches to it.
+
+    The Python steps walk a level in breadth-first order. The numpy steps
+    hold it in key order, as the sorted new keys of the level before and
+    the vertex of each, and look up its children in key order; a level
+    handed over by the Python steps is sorted once.
     """
 
     def __init__(self, values, max_vertices, what):
@@ -271,12 +277,15 @@ class _CarrySearch:
         raise RefusalError(f"carry automaton for {self.what} exceeds {self.max_vertices} vertices")
 
     def run(self) -> tuple[np.ndarray, np.ndarray]:
-        level = self.keys[:]  # keys of the current level, a list or an int64 array
-        while len(level):
+        level = self.keys[:]  # keys of the current level in breadth-first order
+        while level:
             if self.numeric and len(level) >= NUMPY_LEVEL_WIDTH:
-                level = self.numpy_level(np.asarray(level, dtype=np.int64))
+                keys, ids = self.key_order(level)
+                while len(keys) >= NUMPY_LEVEL_WIDTH:
+                    keys, ids = self.numpy_level(keys, ids)
+                level = keys[np.argsort(ids)].tolist()
             else:
-                level = self.python_levels(level if isinstance(level, list) else level.tolist())
+                level = self.python_levels(level)
         self.flush()
         return _join(self.row_chunks), self.carries(_join(self.key_chunks))
 
@@ -345,7 +354,9 @@ class _CarrySearch:
             return kids
         return tuple(c and sum(N * s for N, s in zip(c, self.strides)) for c in kids)
 
-    def numpy_level(self, level: np.ndarray) -> np.ndarray:
+    def key_order(self, level: list) -> tuple[np.ndarray, np.ndarray]:
+        """Bring the sorted index up to date and put a level from the Python
+        steps in key order: its keys ascending, and the vertex of each."""
         self.flush()
         if self.sorted_upto < self.n:
             fresh = _join(self.key_chunks)[self.sorted_upto:]
@@ -356,50 +367,70 @@ class _CarrySearch:
             order = np.argsort(fresh, kind="stable")
             self.sorted_keys, self.sorted_ids = fresh[order], ids[order]
             self.sorted_upto = self.n
-        n, seen, seen_ids = self.n, self.sorted_keys, self.sorted_ids
+        keys = np.array(level, dtype=np.int64)
+        order = np.argsort(keys)
+        return keys[order], order + (self.n - len(keys))
+
+    def children(self, keys: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The children of a level given in key order, ascending, and the
+        table cell of each; cell[i] is the label-0 cell of keys[i]."""
         values, strides, bases = (np.array(x, dtype=np.int64)
                                   for x in (self.values, self.strides, self.bases))
-        C = level[:, None] // strides % bases
+        C = keys[:, None] // strides % bases
         rem = C % 3
-        ok = np.empty((len(level), 2), dtype=bool)  # (vertex, label) cells with an edge
-        (rem <= 1).all(axis=1, out=ok[:, 0])
-        (rem != 1).all(axis=1, out=ok[:, 1])
-        kids = np.empty((len(level), 2), dtype=np.int64)
-        np.matmul(C // 3, strides, out=kids[:, 0])
-        np.matmul((C + values) // 3, strides, out=kids[:, 1])
-        kids = kids[ok]  # in (vertex, label) order
+        ok0, ok1 = (rem <= 1).all(axis=1), (rem != 1).all(axis=1)
+        kids = np.concatenate(((C[ok0] // 3) @ strides, ((C[ok1] + values) // 3) @ strides))
+        # with one multiplier each label's children ascend, and the stable
+        # sort only merges the two runs
+        order = np.argsort(kids, kind="stable")
+        return kids[order], np.concatenate((cell[ok0], cell[ok1] + 1))[order]
+
+    def numpy_level(self, keys: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Step one level given in key order (keys ascending, ids[i] the
+        vertex of keys[i]); return the next level the same way.
+
+        The children are sorted before they are looked up, so searchsorted
+        walks the sorted index once instead of probing it at random. The
+        level is the last len(keys) vertices, from base = n - len(keys), and
+        the edge labeled a out of vertex v is cell 3 * (v - base) + a of
+        its table. A fresh key is numbered by its first cell, where a
+        vertex-by-vertex search would meet it first.
+        """
+        n, seen, seen_ids = self.n, self.sorted_keys, self.sorted_ids
+        kids, cells = self.children(keys, 3 * (ids - (n - len(keys))))
         pos = np.searchsorted(seen, kids)
-        pos[pos == n] = 0
-        dst = seen_ids[pos]
-        fresh_at = np.flatnonzero(seen[pos] != kids)
-        # number the fresh keys by first occurrence: sort them stably, then
-        # order the distinct ones by the position of their first copy
-        o = fresh_at[np.argsort(kids[fresh_at], kind="stable")]
-        s = kids[o]
+        dst = np.minimum(pos, n - 1)  # a place in seen here, a vertex from the next line
+        fresh_at = np.flatnonzero(seen[dst] != kids)
+        dst = seen_ids[dst]
+        # the fresh keys' copies, ascending, and where each goes in seen
+        s, pos = kids[fresh_at], pos[fresh_at]
         head = np.ones(len(s), dtype=bool)
         np.not_equal(s[1:], s[:-1], out=head[1:])
-        uniq = s[head]
+        starts = np.flatnonzero(head)
+        uniq = s[starts]
         if self.max_vertices is not None and n + len(uniq) > self.max_vertices:
             self.refuse()
-        by_first = np.argsort(o[head])
-        ids = np.empty(len(uniq), dtype=np.int64)
-        ids[by_first] = np.arange(n, n + len(uniq))
-        dst[o] = ids[np.cumsum(head) - 1]
-        table = np.full((len(level), 3), -1, dtype=np.int32)
-        table[:, :2][ok] = dst
+        by_first = np.argsort(np.minimum.reduceat(cells[fresh_at], starts))
+        new_ids = np.empty(len(uniq), dtype=np.int64)
+        new_ids[by_first] = np.arange(n, n + len(uniq))
+        dst[fresh_at] = new_ids[np.cumsum(head) - 1]
+        table = np.full((len(keys), 3), -1, dtype=np.int32)
+        table.ravel()[cells] = dst
         self.row_chunks.append(table)
-        new = uniq[by_first]
-        self.key_chunks.append(new)
-        # merge the sorted fresh keys into the sorted seen keys
-        at = np.searchsorted(seen, uniq) + np.arange(len(uniq))
-        old = np.ones(n + len(uniq), dtype=bool)
-        old[at] = False
+        self.key_chunks.append(uniq[by_first])
+        at = pos[starts]
+        del kids, cells, dst, fresh_at, s, pos  # before the index is copied: a lower peak
+        # merge the fresh keys into the sorted index: uniq[i] goes before
+        # seen[at[i]], and seen[j] moves up by the fresh keys before it
+        moved = np.cumsum(np.bincount(at, minlength=n + 1)[:n])
+        moved += np.arange(n)
+        at += np.arange(len(uniq))
         self.sorted_keys = np.empty(n + len(uniq), dtype=np.int64)
-        self.sorted_keys[at], self.sorted_keys[old] = uniq, seen
+        self.sorted_keys[at], self.sorted_keys[moved] = uniq, seen
         self.sorted_ids = np.empty(n + len(uniq), dtype=np.int64)
-        self.sorted_ids[at], self.sorted_ids[old] = ids, seen_ids
+        self.sorted_ids[at], self.sorted_ids[moved] = new_ids, seen_ids
         self.n = self.sorted_upto = n + len(uniq)
-        return new
+        return uniq, new_ids
 
 
 def _carry_graph(values, max_vertices, provenance) -> PointedLabeledGraph:

@@ -48,6 +48,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the count options: a decimal integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _graph_spec(text: str, max_vertices: int):
     """A multiplier list, or the literal 'Y' for the two-vertex witness graph."""
     if text.strip() in ("Y", "y"):
@@ -238,7 +249,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def vertex_cap(sp):
-        sp.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES,
+        sp.add_argument("--max-vertices", type=_positive_int, default=DEFAULT_MAX_VERTICES,
                         help="refuse constructions larger than this many product states")
 
     def reporting(sp):
@@ -258,7 +269,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("specs", nargs="+",
                     help="tuple specs or ranges of singles: '7,19' '4..40' 'L:1..9'")
     sp.add_argument("--csv", action="store_true", help="emit CSV with a header row")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers (output order fixed)")
+    sp.add_argument("--jobs", type=_positive_int, default=1,
+                    help="parallel workers (output order fixed)")
     reporting(sp)
     sp.set_defaults(func=cmd_scan)
 
@@ -272,7 +284,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("blocks", help="brute-force block counts (oracle, no automaton)")
     sp.add_argument("spec", help="multiplier list")
-    sp.add_argument("--n", type=int, default=8, help="count blocks of lengths 1..n")
+    sp.add_argument("--n", type=_positive_int, default=8, help="count blocks of lengths 1..n")
     sp.add_argument("--extendable", action="store_true",
                     help="count only blocks that extend to arbitrarily long blocks")
     sp.set_defaults(func=cmd_blocks)

@@ -359,6 +359,8 @@ def scc_labels(g: PointedLabeledGraph) -> np.ndarray:
 
 def scc(g: PointedLabeledGraph) -> SccDecomposition:
     """Strongly connected components in emission order (see SccDecomposition)."""
+    if g.edge_count < ARRAY_EDGE_CUTOFF:
+        return SccDecomposition(components=tuple(map(frozenset, _tarjan_components(g))))
     label = scc_labels(g)
     members = np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1])
     return SccDecomposition(components=tuple(frozenset(m.tolist()) for m in members))

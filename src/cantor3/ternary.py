@@ -134,8 +134,10 @@ def parse_multiplier(text: str) -> Multiplier:
 
 
 def parse_multiplier_list(text: str) -> list[Multiplier]:
-    """Comma-separated multipliers. The implicit leading 1 is never written."""
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ParseError("empty multiplier list")
+    """Comma-separated multipliers, no item empty. The implicit leading 1 is never written."""
+    parts = text.split(",")
+    if not all(map(str.strip, parts)):
+        if not text.replace(",", "").strip():
+            raise ParseError("empty multiplier list")
+        raise ParseError(f"empty item in multiplier list {text!r}")
     return [parse_multiplier(p) for p in parts]

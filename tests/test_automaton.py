@@ -463,7 +463,9 @@ def test_refusal_comes_before_a_level_past_the_cap(monkeypatch):
 PINNED_GRAPHS = {
     "N_14": ([3**14 + 1], "2d056e34d5696e58b9f7e1fffcc7c94cc89874e798b3abf45b98e134f3d534be"),
     "N_15": ([3**15 + 1], "554a5919ab0108ea59092c1fed8887bc8aee7b1d5753322d34857ab03a00f2f8"),
+    "N_16": ([3**16 + 1], "be2d29162e94e736648ffdd04c9305be99908484be70f1f237e57322245a063e"),
     "2^20": ([2**20], "748ccc0bafd248cb5b9a727ecdb31f509fd23c47fe430b44e6568f6fad87df42"),
+    "2^24": ([2**24], "39b93ed9443aeac4efaf4c535c7ce6d89e87033533e59183ba43692205a7cb32"),
     "2^24,2^26": ([2**24, 2**26],
                   "688ab6768fc816af7f25d6c37170c22e1ca9ca095c5625fa0c031a21e507a806"),
     "N_12,N_13": ([3**12 + 1, 3**13 + 1],
@@ -496,6 +498,7 @@ NEAR_THE_KEY_BOUND = [_L(39), _L(40), _L(41), _L(42), 3**5 + 1, _L(35), _L(36)]
        st.sampled_from([1, 4, 32, NUMPY_LEVEL_WIDTH]))
 @example([3**8 + 1], NUMPY_LEVEL_WIDTH)  # one level of 128, one of 256
 @example([2**18], NUMPY_LEVEL_WIDTH)  # numpy in the middle, Python before and after
+@example([2**24, 2**26], NUMPY_LEVEL_WIDTH)  # two multipliers: children out of key order
 @example([4, 256], 1)
 @example([3**5 + 1, _L(35)], 1)
 @example([3**5 + 1, _L(36)], 1)

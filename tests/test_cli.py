@@ -76,6 +76,27 @@ def test_refusal_exit_code(capsys):
     assert out == "" and "4096 carry states, got 81270" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_blocks_length_must_be_positive(capsys, value):
+    code, out, err = run(capsys, "blocks", "7", "--n", value)
+    assert code == 1 and out == ""
+    assert f"--n: expected a positive integer, got '{value}'" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_scan_jobs_must_be_positive(capsys, value):
+    code, out, err = run(capsys, "scan", "4..6", "--jobs", value)
+    assert code == 1 and out == ""
+    assert f"--jobs: expected a positive integer, got '{value}'" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_max_vertices_must_be_positive(capsys, value):
+    code, out, err = run(capsys, "dim", "7", "--max-vertices", value)
+    assert code == 1 and out == ""
+    assert f"--max-vertices: expected a positive integer, got '{value}'" in err
+
+
 def test_blocks_output(capsys):
     code, out, _ = run(capsys, "blocks", "7", "--n", "4")
     assert code == 0

@@ -396,6 +396,18 @@ def test_dominant_component_is_the_same_on_both_paths(monkeypatch):
             assert lo1 <= hi2 and lo2 <= hi1, spec
 
 
+def test_small_scc_reads_tarjan_order_like_the_labels():
+    # below the cutoff scc() takes Tarjan's lists as they are: the same
+    # components in the same order as grouping the shared labels
+    for spec in [[m] for m in range(4, 300, 3)] + [[7, 19], [4, 256]]:
+        g = build_multi(spec)
+        assert g.edge_count < spectral.ARRAY_EDGE_CUTOFF
+        label = spectral.scc_labels(_fresh(g))
+        grouped = tuple(frozenset(np.flatnonzero(label == c).tolist())
+                        for c in range(label.max() + 1))
+        assert scc(g).components == grouped, spec
+
+
 def test_scc_after_hausdorff_dim_searches_once(monkeypatch):
     for search, g in (("_array_sccs", build_multi([2**20])), ("_tarjan", build_single(19))):
         calls = []

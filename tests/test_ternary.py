@@ -108,8 +108,14 @@ def test_parse_family():
 def test_parse_multiplier_list():
     values = [m.value for m in parse_multiplier_list("7,19, L:2")]
     assert values == [7, 19, 4]
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="empty multiplier list"):
         parse_multiplier_list(" , ,")
+
+
+@pytest.mark.parametrize("text", ["7,,19", "7,", ",7", "7, ,19", "7,19,"])
+def test_parse_multiplier_list_refuses_empty_items(text):
+    with pytest.raises(ParseError, match="empty item"):
+        parse_multiplier_list(text)
 
 
 @given(st.integers(min_value=1, max_value=3**15))
