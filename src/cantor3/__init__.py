@@ -7,7 +7,6 @@ from .automaton import (
     build_multi_direct,
     build_single,
     count_paths,
-    dim_estimate,
     to_dot,
     to_json,
     trim_essential,
@@ -22,7 +21,7 @@ from .families import (
     expect_N,
 )
 from .checks import CheckResult, run_check, run_suite
-from .langops import ComparisonResult, is_equal, is_subset, pointed_isomorphic
+from .langops import ComparisonResult, is_subset, pointed_isomorphic
 from .oracle import admissible_word, brute_count, brute_count_extendable
 from .spectral import (
     CharPoly,

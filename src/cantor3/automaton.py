@@ -250,8 +250,8 @@ class _CarrySearch:
     carries (several), which only the Python steps see. Every vertex's children
     come in label order and the new keys of a level are numbered in order
     of first occurrence, in the Python steps (a dict of keys) and the numpy
-    steps (a sorted key array, merged once per level) alike. Each side's
-    index is brought up to date only when the search switches to it.
+    steps (a sorted key array, merged once per level) alike. A side's index
+    is brought up to date from the key list when the search switches to it.
 
     The Python steps walk a level in breadth-first order. The numpy steps
     hold it in key order, as the sorted new keys of the level before and
@@ -269,9 +269,7 @@ class _CarrySearch:
         self.rows = []  # Python-step table cells, flat, not yet in row_chunks
         self.keys = [start]  # Python-step keys not yet in key_chunks
         self.row_chunks, self.key_chunks = [], []
-        self.index, self.index_upto = {start: 0}, 1  # dict of keys for vertices < index_upto
-        self.sorted_keys = self.sorted_ids = None  # the same for the numpy steps
-        self.sorted_upto = 0
+        self.index = {start: 0}  # key -> vertex, for the Python steps
 
     def refuse(self):
         raise RefusalError(f"carry automaton for {self.what} exceeds {self.max_vertices} vertices")
@@ -307,10 +305,10 @@ class _CarrySearch:
 
     def python_levels(self, level: list) -> list:
         """Step levels narrower than NUMPY_LEVEL_WIDTH; return the first wider one, or []."""
-        if self.index_upto < self.n:
+        done = len(self.index)
+        if done < self.n:  # after a numpy phase
             self.flush()
-            fresh = _join(self.key_chunks)[self.index_upto:].tolist()
-            self.index.update(zip(fresh, range(self.index_upto, self.n)))
+            self.index.update(zip(_join(self.key_chunks)[done:].tolist(), range(done, self.n)))
         index, keys, rows = self.index, self.keys, self.rows
         cap = self.max_vertices if self.max_vertices is not None else math.inf
         width = NUMPY_LEVEL_WIDTH if self.numeric else math.inf
@@ -341,7 +339,7 @@ class _CarrySearch:
             rows.append(-1)  # no carry construction reads label 2
         else:
             end = len(queue)
-        self.n = self.index_upto = len(index)
+        self.n = len(index)
         return queue[end:]
 
     def kids(self, key) -> tuple:
@@ -355,18 +353,12 @@ class _CarrySearch:
         return tuple(c and sum(N * s for N, s in zip(c, self.strides)) for c in kids)
 
     def key_order(self, level: list) -> tuple[np.ndarray, np.ndarray]:
-        """Bring the sorted index up to date and put a level from the Python
-        steps in key order: its keys ascending, and the vertex of each."""
+        """Sort every key seen into the index of the numpy steps, and put a level
+        from the Python steps in key order: its keys ascending, and the vertex of each."""
         self.flush()
-        if self.sorted_upto < self.n:
-            fresh = _join(self.key_chunks)[self.sorted_upto:]
-            ids = np.arange(self.sorted_upto, self.n)
-            if self.sorted_keys is not None:
-                fresh = np.concatenate((self.sorted_keys, fresh))
-                ids = np.concatenate((self.sorted_ids, ids))
-            order = np.argsort(fresh, kind="stable")
-            self.sorted_keys, self.sorted_ids = fresh[order], ids[order]
-            self.sorted_upto = self.n
+        seen = _join(self.key_chunks)
+        self.sorted_ids = np.argsort(seen, kind="stable")
+        self.sorted_keys = seen[self.sorted_ids]
         keys = np.array(level, dtype=np.int64)
         order = np.argsort(keys)
         return keys[order], order + (self.n - len(keys))
@@ -429,7 +421,7 @@ class _CarrySearch:
         self.sorted_keys[at], self.sorted_keys[moved] = uniq, seen
         self.sorted_ids = np.empty(n + len(uniq), dtype=np.int64)
         self.sorted_ids[at], self.sorted_ids[moved] = new_ids, seen_ids
-        self.n = self.sorted_upto = n + len(uniq)
+        self.n = n + len(uniq)
         return uniq, new_ids
 
 
@@ -469,10 +461,10 @@ def trim_essential(g: PointedLabeledGraph) -> PointedLabeledGraph:
     delta. Vertex order is kept, and the input object is returned
     unchanged when nothing is cut.
 
-    On a graph whose every vertex is reachable from the start, every vertex
-    that survives the peel still is: each vertex on a path from the start
-    to it has a surviving successor. Other graphs get a search over the
-    survivors.
+    A survivor of the peel that is reachable from the start is reachable
+    through survivors: each vertex on a path from the start to it has a
+    surviving successor. So graphs not reachable from the start as built
+    keep the survivors in their reachable_set, and no other search is run.
     """
     n, delta = g.n, g.delta
     outdeg = (delta >= 0).sum(axis=1)
@@ -490,16 +482,9 @@ def trim_essential(g: PointedLabeledGraph) -> PointedLabeledGraph:
         outdeg[p] -= k
         dead = p[(outdeg[p] == 0) & (p != g.start)]
     if not g._reachable:
-        succ, ok = g.successors, alive.tolist()
-        ok[g.start] = False
-        order = [g.start]
-        for v in order:  # the BFS queue: appended to while it is walked
-            for w in succ[v]:
-                if ok[w]:
-                    ok[w] = False
-                    order.append(w)
-        alive = np.zeros(n, dtype=bool)
-        alive[order] = True
+        reached = np.zeros(n, dtype=bool)
+        reached[list(g.reachable_set())] = True
+        alive &= reached
     keep = np.flatnonzero(alive)  # fewer than n: a sink or an unreachable vertex was cut
     renum = np.full(n, -1, dtype=np.int32)
     renum[keep] = np.arange(len(keep), dtype=np.int32)
@@ -609,20 +594,6 @@ def count_paths(g: PointedLabeledGraph, n: int) -> int:
     if g.edge_count < LIMB_KERNEL_EDGES:
         return _count_paths_loop(g, n)
     return _count_paths_limbs(g, n)
-
-
-def dim_estimate(g: PointedLabeledGraph, n: int) -> float:
-    """log_3(number of length-n words) / n, from exact path counts.
-
-    Converges to the dimension for strongly connected primitive
-    presentations; a sanity estimate, not a certified value.
-    """
-    if n == 0:
-        return 0.0
-    c = count_paths(g, n)
-    if c == 0:
-        return 0.0
-    return math.log(c, 3) / n
 
 
 def _count_paths_loop(g: PointedLabeledGraph, n: int) -> int:

@@ -23,9 +23,9 @@ from .checks import SUITES, run_suite
 from .errors import ParseError, RefusalError
 from .families import Y_graph, expect_L, expect_N
 from .langops import is_subset, pointed_isomorphic
-from .oracle import brute_count, brute_count_extendable
+from .oracle import brute_count, brute_count_extendable, checked_blocks
 from .spectral import hausdorff_dim
-from .ternary import family_value, parse_family, parse_multiplier, parse_multiplier_list
+from .ternary import family_value, parse_decimal, parse_family, parse_multiplier, parse_multiplier_list
 
 # Every row of a scan is listed before the first one runs, so larger scans
 # are refused up front: 100 000 single rows take about 0.7 s and 50 MB to
@@ -50,12 +50,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _positive_int(text: str) -> int:
     """argparse type of the count options: a decimal integer of at least 1."""
+    message = f"expected a positive integer, got {text!r}"
     try:
-        value = int(text)
-    except ValueError:
+        value = parse_decimal(text, message)
+    except ParseError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        raise argparse.ArgumentTypeError(message)
     return value
 
 
@@ -91,16 +92,15 @@ def _expand_scan_specs(tokens):
             parts.append((1, [(ms, _echo(ms))]))
             continue
         head, _, tail = tok.partition("..")
-        prefix, lo = "", head
+        bad = f"bad range {tok!r}"
         if ":" in head:
             fam = parse_family(head)
             prefix, lo = f"{fam.kind}:", fam.k
-        try:
-            lo, hi = int(lo), int(tail)
-        except ValueError:
-            raise ParseError(f"bad range {tok!r}") from None
+        else:
+            prefix, lo = "", parse_decimal(head, bad)
+        hi = parse_decimal(tail, bad)
         if lo < 1 or hi < lo:
-            raise ParseError(f"bad range {tok!r}")
+            raise ParseError(bad)
         parts.append((hi - lo + 1, _singles(prefix, lo, hi)))
     count = sum(c for c, _ in parts)
     if count > SCAN_ROW_LIMIT:
@@ -190,6 +190,7 @@ def cmd_export(args) -> int:
 def cmd_blocks(args) -> int:
     ms = parse_multiplier_list(args.spec)
     count = brute_count_extendable if args.extendable else brute_count
+    checked_blocks(ms, args.n)  # a refusal comes before the first line, not after the last
     for n in range(1, args.n + 1):
         print(f"n={n} blocks={count(ms, n)}")
     return 0

@@ -66,14 +66,6 @@ def _rows(g: PointedLabeledGraph):
     return row
 
 
-def is_equal(g1: PointedLabeledGraph, g2: PointedLabeledGraph) -> ComparisonResult:
-    """Mutual containment; the witness comes from whichever direction failed."""
-    fwd = is_subset(g1, g2)
-    if not fwd.holds:
-        return fwd
-    return is_subset(g2, g1)
-
-
 def pointed_isomorphic(g1: PointedLabeledGraph, g2: PointedLabeledGraph) -> bool:
     """Label-preserving vertex bijection taking start to start?
 

@@ -2,8 +2,8 @@
 
 Nothing here reads an automaton. A digit word w of length n stands for
 x = sum w[i] * 3^i, and w is admissible for multiplier M when every one of
-the first n base-3 digits of M*x is 0 or 1. All multipliers used here are
-1 mod 3, which makes digit j of M*x final once digits 0..j of x are fixed,
+the first n base-3 digits of M*x is 0 or 1. For any M, digit j of M*x is
+final once digits 0..j of x are fixed, as it depends only on x mod 3^(j+1),
 so prefixes can be checked one new digit at a time and dead branches pruned.
 The low n digits of M*x depend only on M mod 3^n, so the block counts
 reduce every multiplier mod 3^n before they start. That is the entire
@@ -32,9 +32,6 @@ def _values(ms) -> tuple[int, ...]:
     values = []
     for m in ms:
         m = m if isinstance(m, Multiplier) else normalize(int(m))
-        if m.residue == 2:
-            raise ValueError(
-                f"multiplier {m.value} has residue 2; handled upstream, not here")
         values.append(m.value)
     if not values:
         raise ValueError("need at least one multiplier")
@@ -57,7 +54,8 @@ def admissible_word(ms, word) -> bool:
     return True
 
 
-def _checked(ms, n: int) -> tuple[int, ...]:
+def checked_blocks(ms, n: int) -> tuple[int, ...]:
+    """The multipliers' values, once n is known to be a length the block counts take."""
     if n < 0:
         raise ValueError(f"word length must be nonnegative, got {n}")
     if n > DEFAULT_LIMIT:
@@ -104,7 +102,7 @@ def brute_count(ms, n: int) -> int:
 
     n above DEFAULT_LIMIT is refused.
     """
-    return _count(_checked(ms, n), n)
+    return _count(checked_blocks(ms, n), n)
 
 
 def brute_count_extendable(ms, n: int) -> int:
@@ -121,7 +119,7 @@ def brute_count_extendable(ms, n: int) -> int:
     vector an earlier probe settled. V above PROBE_LIMIT is refused before
     anything is enumerated.
     """
-    values = _checked(ms, n)
+    values = checked_blocks(ms, n)
     V = math.prod(1 + M // 2 for M in values)
     if V > PROBE_LIMIT:
         raise RefusalError(

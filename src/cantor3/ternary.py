@@ -95,16 +95,22 @@ def family_value(f: FamilyId) -> int:
     return 2 * 3 ** f.k + 1
 
 
+def parse_decimal(text: str, message: str) -> int:
+    """text as a number in ASCII digits, blanks around it allowed, else ParseError(message):
+    int() alone would also take a sign, underscores and non-ASCII digits."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(message)
+    return int(digits)
+
+
 def parse_family(text: str) -> FamilyId:
     """Parse a family member 'K:k', K one of L, N, P and k >= 1."""
     text = text.strip()
     kind, sep, index = text.partition(":")
     if kind not in FAMILY_KINDS or not sep:
         raise ParseError(f"expected a family like 'L:4', got {text!r}")
-    try:
-        k = int(index)
-    except ValueError:
-        raise ParseError(f"bad family index in {text!r}") from None
+    k = parse_decimal(index, f"bad family index in {text!r}")
     if k < 1:
         raise ParseError(f"family index must be >= 1 in {text!r}")
     return FamilyId(kind, k)
@@ -125,12 +131,10 @@ def parse_multiplier(text: str) -> Multiplier:
         return normalize(value)
     if text[0] in FAMILY_KINDS and text[1:2] == ":":
         return normalize(family_value(parse_family(text)))
-    if text.isdigit():
-        value = int(text)
-        if value == 0:
-            raise ParseError("multiplier 0 is not allowed")
-        return normalize(value)
-    raise ParseError(f"cannot parse multiplier {text!r}")
+    value = parse_decimal(text, f"cannot parse multiplier {text!r}")
+    if value == 0:
+        raise ParseError("multiplier 0 is not allowed")
+    return normalize(value)
 
 
 def parse_multiplier_list(text: str) -> list[Multiplier]:

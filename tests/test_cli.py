@@ -76,21 +76,49 @@ def test_refusal_exit_code(capsys):
     assert out == "" and "4096 carry states, got 81270" in err
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_blocks_refuses_before_the_first_count(capsys):
+    for extendable in ([], ["--extendable"]):
+        code, out, err = run(capsys, "blocks", "7", "--n", "23", *extendable)
+        assert code == 2 and out == ""
+        assert "limited to n <= 22, got 23" in err
+
+
+@pytest.mark.parametrize("spec", ["\u0661\u0669", "\u00b2", "+7", "1_9", "7,\u0661\u0669"])
+def test_multipliers_are_ascii_decimal(capsys, spec):
+    code, out, err = run(capsys, "dim", spec)
+    assert code == 1 and out == ""
+    assert "cannot parse multiplier" in err
+
+
+@pytest.mark.parametrize("spec", ["L:+4", "L:1_0", "N:\u0663", "7,P:\u00b2"])
+def test_family_indices_are_ascii_decimal(capsys, spec):
+    code, out, err = run(capsys, "dim", spec)
+    assert code == 1 and out == ""
+    assert "bad family index" in err
+
+
+@pytest.mark.parametrize("spec", ["1_0..1_2", "\u0661..\u0663", "+4..6", "4..+6", "L:1..\u0663"])
+def test_range_ends_are_ascii_decimal(capsys, spec):
+    code, out, err = run(capsys, "scan", spec)
+    assert code == 1 and out == ""
+    assert "bad range" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "x", "+3", "1_0", "\u0663"])
 def test_blocks_length_must_be_positive(capsys, value):
     code, out, err = run(capsys, "blocks", "7", "--n", value)
     assert code == 1 and out == ""
     assert f"--n: expected a positive integer, got '{value}'" in err
 
 
-@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("value", ["0", "-2", "\u00b2"])
 def test_scan_jobs_must_be_positive(capsys, value):
     code, out, err = run(capsys, "scan", "4..6", "--jobs", value)
     assert code == 1 and out == ""
     assert f"--jobs: expected a positive integer, got '{value}'" in err
 
 
-@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("value", ["0", "-5", "1_000"])
 def test_max_vertices_must_be_positive(capsys, value):
     code, out, err = run(capsys, "dim", "7", "--max-vertices", value)
     assert code == 1 and out == ""
@@ -104,6 +132,13 @@ def test_blocks_output(capsys):
     code, out, _ = run(capsys, "blocks", "4,16", "--n", "3", "--extendable")
     assert code == 0
     assert out.splitlines() == ["n=1 blocks=1", "n=2 blocks=1", "n=3 blocks=1"]
+    # a multiplier 2 mod 3 admits only the zero word
+    code, out, _ = run(capsys, "blocks", "5", "--n", "4")
+    assert code == 0
+    assert out.splitlines() == [f"n={n} blocks=1" for n in range(1, 5)]
+    code, out, _ = run(capsys, "blocks", "2,7", "--n", "3", "--extendable")
+    assert code == 0
+    assert out.splitlines() == [f"n={n} blocks=1" for n in range(1, 4)]
 
 
 def test_export_json_schema(capsys):

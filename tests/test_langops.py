@@ -6,7 +6,6 @@ from cantor3 import (
     admissible_word,
     build_multi,
     build_single,
-    is_equal,
     is_subset,
     pointed_isomorphic,
 )
@@ -42,10 +41,10 @@ def test_full_shift_not_inside_7():
 
 def test_equality_reflexive_and_via_intersection():
     g = build_single(7)
-    assert is_equal(g, g).holds
-    prod = build_multi([4, 13])
-    assert is_equal(prod, build_single(13)).holds
-    assert not is_equal(build_single(4), build_single(13)).holds
+    assert is_subset(g, g).holds
+    prod, g13 = build_multi([4, 13]), build_single(13)
+    assert is_subset(prod, g13).holds and is_subset(g13, prod).holds
+    assert not is_subset(build_single(4), g13).holds
 
 
 def test_subset_transitive_example():
@@ -80,7 +79,7 @@ def test_isomorphic_implies_equal():
     for pair in ((build_multi([4, 13]), build_single(13)),
                  (build_multi([7, 63]), build_single(7))):
         if pointed_isomorphic(*pair):
-            assert is_equal(*pair).holds
+            assert is_subset(*pair).holds and is_subset(*pair[::-1]).holds
 
 
 def test_rejects_sink_graphs():

@@ -12,7 +12,6 @@ from cantor3 import (
     build_multi,
     build_single,
     count_paths,
-    dim_estimate,
     hausdorff_dim,
     normalize,
 )
@@ -41,8 +40,9 @@ def test_admissible_word_examples():
 def test_admissible_word_rejects_bad_digits():
     with pytest.raises(ValueError):
         admissible_word([7], (0, 2))
-    with pytest.raises(ValueError):
-        admissible_word([5], (0, 1))  # residue-2 multiplier has no automaton
+    # 5 * 3 = (120)_3: a residue-2 multiplier is checked like any other
+    assert not admissible_word([5], (0, 1))
+    assert admissible_word([5], (0, 0))
 
 
 def test_brute_count_small_values():
@@ -103,8 +103,7 @@ def test_refusals_and_input_checks():
         brute_count([7], 23)
     with pytest.raises(RefusalError):
         brute_count_extendable([7], 23)
-    with pytest.raises(ValueError):
-        brute_count([5], 3)
+    assert brute_count([5], 3) == 1
     with pytest.raises(ValueError):
         brute_count([0], 3)
 
@@ -211,15 +210,6 @@ def test_frontier_larger_than_a_slice():
     assert brute_count([1], 18) == 2**18
 
 
-def test_dim_estimate_converges_roughly():
-    g = build_single(7)
-    est = dim_estimate(g, 12)
-    assert abs(est - 0.438018) <= 0.05
-    assert dim_estimate(g, 0) == 0.0
-    trivial = build_single(2)
-    assert dim_estimate(trivial, 8) == 0.0
-
-
 def test_first_return_counts_by_hand():
     # 256 = (100111)_3 has 0/1 digits in six places: x = 1 returns at length 6
     assert first_return_counts([256], 20) == (
@@ -272,8 +262,7 @@ def test_return_bound_refusals():
         first_return_counts([7], RETURN_LIMIT + 1)
     with pytest.raises(RefusalError):
         return_word_bound([256], RETURN_LIMIT + 1)
-    with pytest.raises(ValueError):
-        return_word_bound([5], 4)
+    assert return_word_bound([5], 4).r == 1  # only the word 0 returns
     with pytest.raises(ValueError):
         first_return_counts([7], 0)
 
@@ -284,6 +273,14 @@ def test_oracle_matches_automaton_for_random_singles(m, n):
     assume(normalize(m).residue == 1)
     g = build_multi([m])
     assert brute_count([m], n) == count_paths(g, n)
+
+
+@pytest.mark.parametrize("m", [2, 5, 11, 2**9, 3**7 + 2, 2 * 3**5 + 2])
+def test_residue_two_admits_only_the_zero_word(m):
+    # at the lowest digit 1 of x, M*x has the digit M mod 3 = 2
+    assert normalize(m).residue == 2
+    for n in range(1, 7):
+        assert brute_count_extendable([m], n) == count_paths(build_multi([m]), n) == 1
 
 
 def _residue_1(bound):
