@@ -48,16 +48,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of the count options: a decimal integer of at least 1."""
-    message = f"expected a positive integer, got {text!r}"
-    try:
-        value = parse_decimal(text, message)
-    except ParseError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(message)
-    return value
+def _decimal_option(lo: int, hi: float, expected: str):
+    """argparse type of a number option: a decimal integer in lo..hi."""
+    def parse(text: str) -> int:
+        message = f"expected {expected}, got {text!r}"
+        try:
+            value = parse_decimal(text, message)
+        except ParseError:
+            value = lo - 1
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    return parse
+
+
+_positive_int = _decimal_option(1, float("inf"), "a positive integer")
+_precision = _decimal_option(1, 12, "decimal places 1..12")
 
 
 def _graph_spec(text: str, max_vertices: int):
@@ -254,7 +261,7 @@ def _build_parser() -> _Parser:
                         help="refuse constructions larger than this many product states")
 
     def reporting(sp):
-        sp.add_argument("--precision", type=int, default=6, choices=range(1, 13),
+        sp.add_argument("--precision", type=_precision, default=6,
                         metavar="P", help="decimal places in reports (1..12, default 6)")
         vertex_cap(sp)
 
@@ -315,13 +322,17 @@ def _build_parser() -> _Parser:
 
 
 def _discard_stdout() -> None:
-    """Point stdout at the null device, so that flushing it at exit cannot raise again."""
+    """Point stdout at the null device, so that flushing it at exit cannot raise again.
+
+    A stream without a file descriptor is dropped instead: print() writes
+    nothing and the exit flush skips a stdout of None.
+    """
     devnull = os.open(os.devnull, os.O_WRONLY)
     try:
         os.dup2(devnull, sys.stdout.fileno())
     except (AttributeError, OSError, ValueError):  # a stream without a file descriptor
-        sys.stdout = os.fdopen(devnull, "w")
-    else:
+        sys.stdout = None
+    finally:
         os.close(devnull)
 
 

@@ -9,10 +9,12 @@ Components come from one of two searches, by the graph's edge count. Below
 ARRAY_EDGE_CUTOFF, iterative Tarjan over successor lists, with a Python
 loop that splits the edges by component. At or above it, a numpy
 forward-backward search (peel the vertices on no cycle, then intersect the
-forward and backward reach of a pivot, level by level; Tarjan takes what
-is left after a bounded number of rounds and levels) and a split by one
-stable argsort. Either way the labels are kept as a graph view, so scc()
-after hausdorff_dim() does not search again.
+forward and backward reach of a pivot, level by level, for a bounded
+number of rounds and levels), then one Tarjan pass over the graph with
+each component found contracted to a node, which labels what is left and
+orders all components, and a split by one stable argsort. Either way the
+labels are kept as a graph view, so scc() after hausdorff_dim() does not
+search again.
 
 Components that are bare cycles (or a lone vertex, with or without loops)
 are handled exactly. Every other component gets a positive vector v from a
@@ -33,7 +35,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .automaton import PointedLabeledGraph, gather, successor_lists, validate
+from .automaton import PointedLabeledGraph, successor_lists, validate
 from .errors import RefusalError
 
 if TYPE_CHECKING:
@@ -66,10 +68,11 @@ class SccDecomposition:
     topological order of the condensation DAG: every edge between two
     components runs from a later one to an earlier one.
 
-    Below ARRAY_EDGE_CUTOFF edges the order is the one in which Tarjan's
-    search completes them; at or above it, components are sorted by level
-    (0 for a sink, else one more than the highest level among the
-    successors), then by smallest member. hausdorff_dim names as dominant
+    The order is the one in which Tarjan's search completes them. Below
+    ARRAY_EDGE_CUTOFF edges Tarjan runs on the graph itself; at or above
+    it, on the graph with each component the numpy search found contracted
+    to one node, numbered in the order found, and the vertices it left
+    numbered after them in vertex order. hausdorff_dim names as dominant
     the first component in this order with the largest bracket sum
     lo_c + hi_c.
     """
@@ -252,20 +255,6 @@ def _reach(g: PointedLabeledGraph, color, pivots, edges, limit: float):
     return seen, level
 
 
-def _tarjan_rest(g: PointedLabeledGraph, live, comp, found: int) -> int:
-    """Label the components of the subgraph on the vertices live, a union of
-    components, by Tarjan; returns the components found."""
-    local = np.full(g.n, -1, dtype=np.intp)
-    local[live] = np.arange(len(live))
-    src, dst, _ = g.edge_arrays()
-    s, d = local[src], local[dst]
-    keep = (s >= 0) & (d >= 0)
-    for c in _tarjan(successor_lists(s[keep], d[keep], len(live))):
-        comp[live[c]] = found
-        found += 1
-    return found
-
-
 def _array_sccs(g: PointedLabeledGraph) -> np.ndarray:
     """Component label per vertex by forward-backward search, in emission order.
 
@@ -278,9 +267,13 @@ def _array_sccs(g: PointedLabeledGraph) -> np.ndarray:
 
     Each round passes over all edges, and each level makes about ten numpy
     calls, so on long chains of components the search would be quadratic,
-    or slow against Tarjan. After _SEARCH_ROUNDS rounds, or once the levels
-    pass edge count / _SEARCH_LEVEL_EDGES, Tarjan labels the vertices still
-    without a component.
+    or slow against Tarjan. It stops when no vertex is left, after
+    _SEARCH_ROUNDS rounds, or once the levels pass edge count /
+    _SEARCH_LEVEL_EDGES. Then every component found is contracted to one
+    node, numbered in the order found, and the vertices still without a
+    component follow in vertex order. Each component found is maximal, so
+    it stays a node of its own, and one Tarjan pass over the cross edges
+    labels the rest and emits all components in reverse topological order.
     """
     n = g.n
     color = np.zeros(n, dtype=np.intp)
@@ -291,7 +284,7 @@ def _array_sccs(g: PointedLabeledGraph) -> np.ndarray:
         found = _peel(g, color, comp, found)
         live = np.flatnonzero(color >= 0)
         if not len(live):
-            return _emission_order(g, comp, found)
+            break
         _, first, color[live] = np.unique(color[live], return_index=True, return_inverse=True)
         pivots = live[first]  # the lowest vertex of every color
         fw = _reach(g, color, pivots, g.out_edges, levels)
@@ -306,37 +299,16 @@ def _array_sccs(g: PointedLabeledGraph) -> np.ndarray:
         comp[live[inside]] = found + color[live[inside]]
         found += len(pivots)
         color[live] = np.where(inside, -1, 3 * color[live] + part)
-    found = _tarjan_rest(g, np.flatnonzero(color >= 0), comp, found)
-    return _emission_order(g, comp, found)
-
-
-def _emission_order(g: PointedLabeledGraph, comp, count: int) -> np.ndarray:
-    """comp renumbered by level in the condensation DAG, then by smallest member.
-
-    A sink component has level 0, any other one more than the highest
-    level among its successors, so every edge between two components runs
-    from a later one to an earlier one: reverse topological order.
-    """
+    rest = np.flatnonzero(color >= 0)
+    comp[rest] = np.arange(found, found + len(rest))
     src, dst, _ = g.edge_arrays()
     a, b = comp[src], comp[dst]
     cross = a != b
     a, b = a[cross], b[cross]
-    outdeg = np.bincount(a, minlength=count)
-    ptr = np.zeros(count + 1, dtype=np.intp)
-    np.cumsum(np.bincount(b, minlength=count), out=ptr[1:])
-    preds = a[np.argsort(b, kind="stable")]
-    level = np.empty(count, dtype=np.intp)
-    front, h = np.flatnonzero(outdeg == 0), 0
-    while len(front):
-        level[front] = h
-        h += 1
-        p = gather(ptr, preds, front)[0]
-        np.subtract.at(outdeg, p, 1)
-        p = np.unique(p)
-        front = p[outdeg[p] == 0]
-    smallest = np.unique(comp, return_index=True)[1]  # vertex numbers ascend
-    rank = np.empty(count, dtype=np.intp)
-    rank[np.lexsort((smallest, level))] = np.arange(count)
+    order = np.argsort(a, kind="stable")
+    rank = np.empty(found + len(rest), dtype=np.intp)
+    for c, nodes in enumerate(_tarjan(successor_lists(a[order], b[order], len(rank)))):
+        rank[nodes] = c
     return rank[comp]
 
 

@@ -111,6 +111,13 @@ def test_blocks_length_must_be_positive(capsys, value):
     assert f"--n: expected a positive integer, got '{value}'" in err
 
 
+@pytest.mark.parametrize("value", ["+3", "1_0", "\u0663", "0", "13"])
+def test_precision_is_ascii_decimal_1_to_12(capsys, value):
+    code, out, err = run(capsys, "dim", "7", "--precision", value)
+    assert code == 1 and out == ""
+    assert f"--precision: expected decimal places 1..12, got '{value}'" in err
+
+
 @pytest.mark.parametrize("value", ["0", "-2", "\u00b2"])
 def test_scan_jobs_must_be_positive(capsys, value):
     code, out, err = run(capsys, "scan", "4..6", "--jobs", value)
@@ -400,6 +407,11 @@ def test_one_tarjan_per_graph(monkeypatch, capsys):
     del calls[:]
     code, out, _ = run(capsys, "family", "L:4")
     assert code == 0 and "sccs=1/1 ok" in out and len(calls) == 1
+    # at or above the array cutoff one Tarjan pass finishes the numpy search
+    for spec in ("N:14", "16777216,67108864"):
+        del calls[:]
+        code, out, _ = run(capsys, "dim", spec)
+        assert code == 0 and len(calls) == 1, spec
 
 
 def test_dim_json(capsys):

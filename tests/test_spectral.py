@@ -362,11 +362,12 @@ def _chain_of_cycles(k):
 
 
 @pytest.mark.parametrize("spec", [[family_value(FamilyId("N", 14))], [2**20], [2**24, 2**26],
-                                  "chain"])
+                                  pytest.param(3000, id="chain"),
+                                  pytest.param(20000, id="deep-chain")])
 def test_array_sccs_match_tarjan_on_large_graphs(spec, monkeypatch):
     _array_path(monkeypatch)
-    # the chain runs out of search rounds and levels, and Tarjan takes the rest
-    g = _chain_of_cycles(3000) if spec == "chain" else build_multi(spec)
+    # a chain runs out of search rounds and levels, and Tarjan takes the rest
+    g = _chain_of_cycles(spec) if isinstance(spec, int) else build_multi(spec)
     comps = scc(g).components
     assert _partition(comps) == _partition(spectral._tarjan(g.successors))
     _assert_reverse_topological(g, comps)
