@@ -573,8 +573,9 @@ def build_multi_direct(ms, max_vertices: int | None = DEFAULT_MAX_VERTICES) -> P
 
 
 # Graphs with fewer edges than this count paths in the per-edge Python loop:
-# there one numpy/scipy step (about 5-12 us) costs more than the whole loop.
-# The value is the measured crossover; see README "Path counts".
+# there the kernel's fixed cost, two sparse matrices and their squares
+# (about 0.18 ms), is more than the whole loop. The value is the measured
+# crossover; see README "Path counts".
 LIMB_KERNEL_EDGES = 128
 
 _INT64_MAX = (1 << 63) - 1
@@ -587,7 +588,9 @@ def count_paths(g: PointedLabeledGraph, n: int) -> int:
     distinct words. Exact integer arithmetic, so large n costs time but
     never precision: small graphs run a per-edge loop over Python ints,
     graphs with at least LIMB_KERNEL_EDGES edges an int64 multi-limb sparse
-    kernel.
+    kernel that counts the paths of length n // 2 from the start and the
+    words of length n - n // 2 readable from each vertex, steps taken in
+    pairs, and takes the exact dot product of the two.
     """
     if n < 0:
         raise ValueError(f"word length must be nonnegative, got {n}")
@@ -612,37 +615,104 @@ def _count_paths_loop(g: PointedLabeledGraph, n: int) -> int:
 
 
 def _count_paths_limbs(g: PointedLabeledGraph, n: int) -> int:
-    """Path counts per vertex as base-2^b int64 limbs, one sparse product per step.
+    """Path counts met in the middle, each half in int64 limbs.
 
-    A has rows = destination and columns = source, so duplicate edges sum
-    and a step is X = A @ X on the (vertices x limbs) array X. No entry of
-    X exceeds `bound` (a Python int); a step multiplies it by at most D, the
-    largest in-degree, so carries are propagated just before bound * D would
-    pass 2^63 - 1, repeatedly until a step fits. A carried limb holds less
-    than 2^b plus the carry from below; b = 49 - ceil(log2 D) leaves about
-    14 steps between carries at D = 2.
+    With A the adjacency matrix, rows = destination and columns = source,
+    the count 1^T A^n e_start is the dot product F . B of F = A^h e_start,
+    the paths of length h = n // 2 from the start to each vertex, and
+    B = (A^T)^(n-h) 1, the words of length n - h readable from each vertex.
+    Each half holds about half the bits of the count, so the limbs summed
+    over the steps are about half as many as in one n-step product. The
+    halves run one after the other, so only one half's matrices are alive
+    at a time, and _exact_dot multiplies them out.
+    """
+    src, dst, _ = g.edge_arrays()
+    h = n // 2
+    F, bf = _limb_steps(dst, src, np.eye(g.n, 1, -g.start, dtype=np.int64), h)
+    B, bb = _limb_steps(src, dst, np.ones((g.n, 1), dtype=np.int64), n - h)
+    return _exact_dot(F, bf, B, bb)
+
+
+def _limb_steps(rows, cols, X: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """M^k X in base-2^b int64 limbs, with M the matrix of one 1 per (rows, cols) pair.
+
+    Returns the (vertices x limbs) array and b. Duplicate pairs sum. Steps
+    go in pairs: one product with M if k is odd, then k // 2 with M @ M. On
+    carry graphs M @ M has about 1.5 times the nonzeros of M, so a pair
+    does about 25 % fewer multiply-adds than two single steps, in half the
+    Python round trips. No entry of X exceeds `bound` (a Python int); a
+    pair multiplies it by at most D, the largest row sum of M @ M, so
+    carries are propagated just before bound * D would pass 2^63 - 1,
+    repeatedly until the pair fits, and once more at the end. A carried
+    limb holds less than 2^b plus the carry from below; b = 49 - ceil(log2 D)
+    leaves 14 bits, 7 pairs at D = 4, between carries.
     """
     from scipy.sparse import csr_matrix
 
-    src, dst, _ = g.edge_arrays()
-    A = csr_matrix((np.ones(len(src), dtype=np.int64), (dst, src)), shape=(g.n, g.n))
-    D = max(1, int(A.sum(axis=1).max()))
-    b = max(1, 49 - (D - 1).bit_length())
+    M = csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(len(X), len(X)))
+    if k % 2:
+        X = M @ X
+    if k >= 2:
+        M = M @ M
+    D = int(M.sum(axis=1).max())
+    b = 49 - (D - 1).bit_length()
     mask = (1 << b) - 1
-    X = np.zeros((g.n, 1), dtype=np.int64)
-    X[g.start, 0] = 1
-    bound = 1
-    for _ in range(n):
+    bound = int(X.max())
+    for _ in range(k // 2):
         while bound * D > _INT64_MAX:
-            high = X >> b
-            X &= mask
-            X[:, 1:] += high[:, :-1]
-            if high[:, -1].any():
-                X = np.hstack([X, high[:, -1:]])
+            X = _carry(X, b)
             bound = mask + (bound >> b)
-        X = A @ X
+        X = M @ X
         bound *= D
-    return sum(int(c) << (b * j) for j, c in enumerate(X.sum(axis=0, dtype=object)))
+    return _carry(X, b), b
+
+
+def _carry(X: np.ndarray, b: int) -> np.ndarray:
+    """X with each limb's bits from b up moved into the next limb, in place or one limb wider."""
+    high = X >> b
+    X &= (1 << b) - 1
+    X[:, 1:] += high[:, :-1]
+    if high[:, -1].any():
+        X = np.hstack([X, high[:, -1:]])
+    return X
+
+
+def _exact_dot(F: np.ndarray, bf: int, B: np.ndarray, bb: int) -> int:
+    """The sum over rows of F's base-2^bf limbs times B's base-2^bb limbs, exactly.
+
+    Every limb is split into w-bit pieces held as float64, with
+    w = (52 - rows.bit_length()) // 2, and BLAS products Fp @ Bp^T take
+    every piece of F against every piece of B, 4096 rows at a time, since
+    the pieces take about three times the memory of their limbs. A term is
+    below 2^(2w) and each table entry sums fewer than 2^rows.bit_length()
+    terms, so every partial sum is an integer below 2^52: the products and
+    their sum over the blocks are exact in any order of summation. The
+    small table of piece products is shifted into place and added up as
+    Python ints.
+    """
+    w = (52 - len(F).bit_length()) // 2
+    fs, bs = _piece_shifts(F, w), _piece_shifts(B, w)
+    table = np.zeros((len(fs), len(bs)))
+    for i in range(0, len(F), 4096):
+        rows = slice(i, i + 4096)
+        table += _pieces(F[rows], fs, w) @ _pieces(B[rows], bs, w).T
+    table = table.astype(np.int64).tolist()
+    return sum(t << (bf * j + s + bb * l + r)
+               for (j, s), row in zip(fs, table) for (l, r), t in zip(bs, row))
+
+
+def _piece_shifts(X: np.ndarray, w: int) -> list[tuple[int, int]]:
+    """(limb, shift within the limb) of each w-bit piece of X's limbs, low first."""
+    per = -(-int(X.max()).bit_length() // w)
+    return [(j, w * q) for j in range(X.shape[1]) for q in range(per)]
+
+
+def _pieces(X: np.ndarray, shifts: list, w: int) -> np.ndarray:
+    """The pieces of X's limbs at `shifts`, one float64 row each."""
+    out = np.empty((len(shifts), len(X)))
+    for c, (j, s) in enumerate(shifts):
+        np.bitwise_and(X[:, j] >> s, (1 << w) - 1, out=out[c], casting="unsafe")
+    return out
 
 
 def validate(g: PointedLabeledGraph) -> ValidationReport:

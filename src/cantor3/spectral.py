@@ -307,8 +307,8 @@ def _array_sccs(g: PointedLabeledGraph) -> np.ndarray:
     a, b = a[cross], b[cross]
     order = np.argsort(a, kind="stable")
     rank = np.empty(found + len(rest), dtype=np.intp)
-    for c, nodes in enumerate(_tarjan(successor_lists(a[order], b[order], len(rank)))):
-        rank[nodes] = c
+    comps = _tarjan(successor_lists(a[order], b[order], len(rank)))
+    rank[[v for c in comps for v in c]] = np.repeat(np.arange(len(comps)), [len(c) for c in comps])
     return rank[comp]
 
 

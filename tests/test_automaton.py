@@ -32,6 +32,8 @@ from cantor3.automaton import (
     NUMPY_LEVEL_WIDTH,
     _count_paths_limbs,
     _count_paths_loop,
+    _exact_dot,
+    _limb_steps,
     to_json_dict,
     vertex_name,
 )
@@ -308,8 +310,9 @@ def test_count_paths_kernel_matches_loop(name):
 
 
 def test_count_paths_kernel_grows_limbs():
-    # 279 bits need six 48-bit limbs, all grown from one; the value is
-    # compared with the loop in test_count_paths_kernel_matches_loop
+    # 279 bits: each half, paths from the start and words read onward,
+    # grows from one 47-bit limb to three; the value is compared with the
+    # loop in test_count_paths_kernel_matches_loop
     assert _count_paths_limbs(build_multi([3**5 + 1]), 400).bit_length() == 279
 
 
@@ -332,7 +335,53 @@ def test_count_paths_kernel_on_wide_fan_in():
     k = 6000
     g = PointedLabeledGraph([(v,) for v in range(k)],
                             [(v, 0, a) for v in range(k) for a in (0, 1, 2)], 0)
+    # the forward half steps with A @ A, whose row sums reach 3 * 18 000;
+    # a carried limb must still leave room for one step
+    src, dst, _ = g.edge_arrays()
+    X, b = _limb_steps(dst, src, np.eye(k, 1, dtype=np.int64), 2)
+    assert X[0, 0] == 9 and b > 0
+    assert ((1 << b) + 1) * 3 * 18_000 <= 2**63 - 1
     assert _count_paths_limbs(g, 200) == 3**200
+
+
+@st.composite
+def _label_tables(draw):
+    """Small right-resolving graphs with sinks, duplicate edges and any start."""
+    k = draw(st.integers(min_value=1, max_value=10))
+    cell = st.integers(min_value=-1, max_value=k - 1)
+    rows = draw(st.lists(st.lists(cell, min_size=3, max_size=3), min_size=k, max_size=k))
+    edges = [(v, d, a) for v, row in enumerate(rows) for a, d in enumerate(row) if d >= 0]
+    return PointedLabeledGraph([(v,) for v in range(k)], edges, draw(st.integers(0, k - 1)))
+
+
+_FULL_PAIR = PointedLabeledGraph([(0,), (1,)], [(0, 1, 0), (0, 1, 1), (0, 0, 2),
+                                               (1, 0, 0), (1, 1, 1), (1, 1, 2)], 1)
+_SINK_ROW = PointedLabeledGraph([(0,), (1,), (2,)], [(1, 0, 0), (1, 2, 1), (1, 2, 2),
+                                                     (2, 1, 0), (2, 2, 1)], 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_label_tables(), st.integers(min_value=0, max_value=140))
+@example(_FULL_PAIR, 140)  # 3^70 words each half: carries on both sides
+@example(_FULL_PAIR, 138)  # 69 steps each half: one single step on both sides
+@example(_FULL_PAIR, 137)  # 68 steps forward, 69 backward
+@example(_SINK_ROW, 133)  # vertex 0 is a sink; duplicate edges 1 -> 2
+def test_count_paths_kernel_matches_loop_on_label_tables(g, n):
+    assert _count_paths_limbs(g, n) == _count_paths_loop(g, n)
+
+
+def test_exact_dot_at_the_piece_width_bound():
+    # 2^20 + 1 rows: rows.bit_length() is 21, so pieces are w = 15 bits.
+    # Every piece is 2^15 - 1, the largest value a piece can take, so each
+    # entry of the piece table is (2^20 + 1) * (2^15 - 1)^2, the largest sum
+    # the row count allows. The rows are broadcast and take no memory.
+    rows, w = 2**20 + 1, 15
+    F = np.broadcast_to(np.array([[2**(2 * w) - 1] * 2], dtype=np.int64), (rows, 2))
+    B = np.broadcast_to(np.array([[2**(3 * w) - 1] * 3], dtype=np.int64), (rows, 3))
+    f = sum(int(c) << (2 * w * j) for j, c in enumerate(F[0]))
+    b = sum(int(c) << (3 * w * j) for j, c in enumerate(B[0]))
+    assert (f, b) == (2**(4 * w) - 1, 2**(9 * w) - 1)
+    assert _exact_dot(F, 2 * w, B, 3 * w) == rows * f * b
 
 
 def test_count_paths_kernel_matches_oracle():
