@@ -75,11 +75,11 @@ def successor_lists(src: np.ndarray, dst: np.ndarray, n: int) -> list[list[int]]
     return [flat[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def gather(ptr: np.ndarray, items: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """items[ptr[v]:ptr[v + 1]] for every v in vs, concatenated, and the length of each run."""
+def gather(ptr: np.ndarray, items: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """items[ptr[v]:ptr[v + 1]] for every v in vs, concatenated."""
     lo, sizes = ptr[vs], ptr[vs + 1] - ptr[vs]
     idx = np.repeat(lo - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-    return items[idx], sizes
+    return items[idx]
 
 
 class PointedLabeledGraph:
@@ -177,16 +177,13 @@ class PointedLabeledGraph:
 
         return self._view("arrays", make)
 
-    def out_edges(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(w, k): the destinations of the edges out of each vertex of vs,
-        concatenated with repeats, and how many edges leave each."""
+    def out_edges(self, vs: np.ndarray) -> np.ndarray:
+        """The destinations of the edges out of each vertex of vs, concatenated with repeats."""
         nxt = self.delta[vs]
-        has = nxt >= 0
-        return nxt[has], has.sum(axis=1)
+        return nxt[nxt >= 0]
 
-    def in_edges(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(p, k): the sources of the edges into each vertex of vs,
-        concatenated with repeats, and how many edges enter each."""
+    def in_edges(self, vs: np.ndarray) -> np.ndarray:
+        """The sources of the edges into each vertex of vs, concatenated with repeats."""
         def make():
             src, dst, _ = self.edge_arrays()
             ptr = np.zeros(self.n + 1, dtype=np.intp)
@@ -477,7 +474,7 @@ def trim_essential(g: PointedLabeledGraph) -> PointedLabeledGraph:
     alive = np.ones(n, dtype=bool)
     while len(dead):
         alive[dead] = False
-        p = g.in_edges(dead)[0]
+        p = g.in_edges(dead)
         p, k = np.unique(p[alive[p]], return_counts=True)
         outdeg[p] -= k
         dead = p[(outdeg[p] == 0) & (p != g.start)]

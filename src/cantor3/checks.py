@@ -246,8 +246,9 @@ def check_table_powers_of_2() -> CheckResult:
         bad.append(f"(2^2,2^8): dim={_fmt(r.dim)} want 0.228392")
     for exps in _POW2_ZERO_PAIRS + _POW2_ZERO_TRIPLES:
         r = hausdorff_dim(build_multi([2**e for e in exps]))
-        if abs(r.beta - 1.0) > 1e-9:
-            bad.append(f"{exps}: beta={r.beta:.12f} want 1+-1e-9")
+        if r.method != "exact_trivial" or r.beta_bracket != ((1, 1), (1, 1)):
+            bad.append(f"{exps}: {r.method} beta_bracket={r.beta_bracket}"
+                       f" want exact_trivial ((1, 1), (1, 1))")
     elapsed = perf_counter() - t0
     ok = not bad and elapsed < 120.0
     detail = "; ".join(

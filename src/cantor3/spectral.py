@@ -7,14 +7,14 @@ graph's label table directly.
 
 Components come from one of two searches, by the graph's edge count. Below
 ARRAY_EDGE_CUTOFF, iterative Tarjan over successor lists, with a Python
-loop that splits the edges by component. At or above it, a numpy
-forward-backward search (peel the vertices on no cycle, then intersect the
-forward and backward reach of a pivot, level by level, for a bounded
-number of rounds and levels), then one Tarjan pass over the graph with
-each component found contracted to a node, which labels what is left and
-orders all components, and a split by one stable argsort. Either way the
-labels are kept as a graph view, so scc() after hausdorff_dim() does not
-search again.
+loop that splits the edges by component. At or above it, one numpy
+forward-backward search from the vertex with the largest in-degree times
+out-degree, level by level within a bounded number of levels, which finds
+that vertex's component; then one Tarjan pass over the graph with that
+component contracted to a node, which labels what is left and orders all
+components, and a split by one stable argsort. Either way the labels are
+kept as a graph view, so scc() after hausdorff_dim() does not search
+again.
 
 Components that are bare cycles (or a lone vertex, with or without loops)
 are handled exactly. Every other component gets a positive vector v from a
@@ -49,13 +49,12 @@ _MAX_POWER_ITERATIONS = 500_000
 _MAX_SQUARINGS = 64  # 2^64 power steps
 _DENSE_GAP_FACTOR = 1e-3  # dense squaring stops at a float gap of tol times this
 POWER_SHIFT = 0.1  # the power iteration runs on A + POWER_SHIFT * I
-# Graphs with at least this many edges take the array path: SCCs by numpy
-# forward-backward search and a numpy component split. Below it Tarjan and
-# the Python split are faster; the value is the measured crossover, see
-# README "Spectral layer".
+# Graphs with at least this many edges take the array path: SCCs by one
+# numpy forward-backward search and Tarjan, and a numpy component split.
+# Below it Tarjan and the Python split are faster; the value is the
+# measured crossover, see README "Spectral layer".
 ARRAY_EDGE_CUTOFF = 2048
-_SEARCH_ROUNDS = 8  # rounds of the numpy SCC search before Tarjan takes the rest
-_SEARCH_LEVEL_EDGES = 32  # and one breadth-first level per this many edges
+_SEARCH_LEVEL_EDGES = 32  # one breadth-first level of the numpy SCC search per this many edges
 
 
 def log3(x: float) -> float:
@@ -70,11 +69,11 @@ class SccDecomposition:
 
     The order is the one in which Tarjan's search completes them. Below
     ARRAY_EDGE_CUTOFF edges Tarjan runs on the graph itself; at or above
-    it, on the graph with each component the numpy search found contracted
-    to one node, numbered in the order found, and the vertices it left
-    numbered after them in vertex order. hausdorff_dim names as dominant
-    the first component in this order with the largest bracket sum
-    lo_c + hi_c.
+    it, on the graph with the component the numpy search found contracted
+    to node 0 (or only its pivot, when the search ran out of levels) and
+    the other vertices numbered after it in vertex order. hausdorff_dim
+    names as dominant the first component in this order with the largest
+    bracket sum lo_c + hi_c.
     """
 
     components: tuple[frozenset[int], ...]
@@ -204,50 +203,20 @@ def _tarjan_components(g: PointedLabeledGraph) -> list[list[int]]:
     return g._view("tarjan", lambda: _tarjan(g.successors))
 
 
-def _peel(g: PointedLabeledGraph, color, comp, found: int) -> int:
-    """Make every vertex without an in-edge or an out-edge inside its color a
-    component of its own, until none is left; returns the components found.
-
-    color[v] is v's part of the search (-1 once v has a component), and
-    every part is a union of components, so such a vertex lies on no cycle.
-    """
-    src, dst, _ = g.edge_arrays()
-    live = color >= 0
-    same = live[src] & (color[src] == color[dst])
-    outdeg = np.bincount(src[same], minlength=g.n)
-    indeg = np.bincount(dst[same], minlength=g.n)
-    dead = np.flatnonzero(live & ((outdeg == 0) | (indeg == 0)))
-    while len(dead):
-        c = color[dead]
-        color[dead] = -1
-        comp[dead] = np.arange(found, found + len(dead))
-        found += len(dead)
-        near = []
-        # successors inside the color lose an in-edge, predecessors an out-edge
-        for edges, degree in ((g.out_edges, indeg), (g.in_edges, outdeg)):
-            w, k = edges(dead)
-            w = w[color[w] == np.repeat(c, k)]
-            np.subtract.at(degree, w, 1)
-            near.append(w)
-        near = np.unique(np.concatenate(near))
-        dead = near[(outdeg[near] == 0) | (indeg[near] == 0)]
-    return found
-
-
-def _reach(g: PointedLabeledGraph, color, pivots, edges, limit: float):
-    """The vertices reached from the pivots inside their own colors, level by
-    level along edges (g.out_edges forward, g.in_edges backward), and the
-    number of levels; None once that number would pass limit."""
+def _reach(g: PointedLabeledGraph, pivot: int, edges, limit: float):
+    """The vertices reached from pivot, level by level along edges
+    (g.out_edges forward, g.in_edges backward), and the number of levels;
+    None once that number would pass limit."""
     seen = np.zeros(g.n, dtype=bool)
-    seen[pivots] = True
+    seen[pivot] = True
     slot = np.empty(g.n, dtype=np.intp)
-    front, level = pivots, 0
+    front, level = np.array([pivot]), 0
     while len(front):
         if level >= limit:
             return None
         level += 1
-        w, k = edges(front)
-        w = w[(color[w] == np.repeat(color[front], k)) & ~seen[w]]
+        w = edges(front)
+        w = w[~seen[w]]
         # keep one copy of each vertex: whichever write to slot lands last names it
         slot[w] = idx = np.arange(len(w))
         front = w[slot[w] == idx]
@@ -256,60 +225,40 @@ def _reach(g: PointedLabeledGraph, color, pivots, edges, limit: float):
 
 
 def _array_sccs(g: PointedLabeledGraph) -> np.ndarray:
-    """Component label per vertex by forward-backward search, in emission order.
+    """Component label per vertex by one forward-backward search, in emission order.
 
-    Every vertex starts in color 0. Each round peels the vertices that lie
-    on no cycle inside their color, then takes the lowest vertex of every
-    color as its pivot: the vertices of the color reached from it both
-    forward and backward are its component. The rest of the color splits
-    three ways (reached forward only, backward only, neither), and each
-    piece is a union of components, so it becomes a color of its own.
+    The pivot is the first vertex with the largest in-degree times
+    out-degree, the likeliest member of a large component (Multistep:
+    Slota, Rajamanickam and Madduri, IPDPS 2014); the vertices reached from
+    it both forward and backward are its component. On long chains of
+    components a level-by-level search is slow against Tarjan, so the two
+    searches together stop after edge count / _SEARCH_LEVEL_EDGES levels,
+    and then only the pivot counts as found.
 
-    Each round passes over all edges, and each level makes about ten numpy
-    calls, so on long chains of components the search would be quadratic,
-    or slow against Tarjan. It stops when no vertex is left, after
-    _SEARCH_ROUNDS rounds, or once the levels pass edge count /
-    _SEARCH_LEVEL_EDGES. Then every component found is contracted to one
-    node, numbered in the order found, and the vertices still without a
-    component follow in vertex order. Each component found is maximal, so
-    it stays a node of its own, and one Tarjan pass over the cross edges
-    labels the rest and emits all components in reverse topological order.
+    What was found is contracted to node 0 and the other vertices follow in
+    vertex order. The pivot's component is maximal, so one Tarjan pass over
+    the cross edges labels the rest and emits all components in reverse
+    topological order.
     """
     n = g.n
-    color = np.zeros(n, dtype=np.intp)
-    comp = np.empty(n, dtype=np.intp)
-    found = 0
-    levels = g.edge_count / _SEARCH_LEVEL_EDGES
-    for _ in range(_SEARCH_ROUNDS):
-        found = _peel(g, color, comp, found)
-        live = np.flatnonzero(color >= 0)
-        if not len(live):
-            break
-        _, first, color[live] = np.unique(color[live], return_index=True, return_inverse=True)
-        pivots = live[first]  # the lowest vertex of every color
-        fw = _reach(g, color, pivots, g.out_edges, levels)
-        if fw is None:
-            break
-        bw = _reach(g, color, pivots, g.in_edges, levels - fw[1])
-        if bw is None:
-            break
-        levels -= fw[1] + bw[1]
-        part = fw[0][live].astype(np.intp) + 2 * bw[0][live]
-        inside = part == 3
-        comp[live[inside]] = found + color[live[inside]]
-        found += len(pivots)
-        color[live] = np.where(inside, -1, 3 * color[live] + part)
-    rest = np.flatnonzero(color >= 0)
-    comp[rest] = np.arange(found, found + len(rest))
     src, dst, _ = g.edge_arrays()
-    a, b = comp[src], comp[dst]
-    cross = a != b
-    a, b = a[cross], b[cross]
+    pivot = int(np.argmax(np.bincount(src, minlength=n) * np.bincount(dst, minlength=n)))
+    inside = np.zeros(n, dtype=bool)
+    inside[pivot] = True
+    levels = g.edge_count / _SEARCH_LEVEL_EDGES
+    fw = _reach(g, pivot, g.out_edges, levels)
+    if fw is not None:
+        bw = _reach(g, pivot, g.in_edges, levels - fw[1])
+        if bw is not None:
+            inside = fw[0] & bw[0]
+    node = np.where(inside, 0, np.cumsum(~inside))
+    cross = node[src] != node[dst]
+    a, b = node[src[cross]], node[dst[cross]]
     order = np.argsort(a, kind="stable")
-    rank = np.empty(found + len(rest), dtype=np.intp)
+    rank = np.empty(n - int(inside.sum()) + 1, dtype=np.intp)
     comps = _tarjan(successor_lists(a[order], b[order], len(rank)))
     rank[[v for c in comps for v in c]] = np.repeat(np.arange(len(comps)), [len(c) for c in comps])
-    return rank[comp]
+    return rank[node]
 
 
 def scc_labels(g: PointedLabeledGraph) -> np.ndarray:

@@ -506,3 +506,36 @@ def test_scan_csv_is_pinned(capsys):
     cut = "".join(",".join(f[:6] + f[7:8]) + "\n" for f in (line.split(",") for line in out.splitlines()))
     assert hashlib.sha256(cut.encode()).hexdigest() == (
         "5e30e2620d489ec0a224790e8f25dd32771f4ae17fe8b1baf14725e1c55fe8a2")
+
+
+# `dim --json` on graphs of 2048 edges or more, which take the array SCC
+# search, pinned byte for byte. No scan row reaches that search.
+DIM_JSON_PINNED = {
+    "N:14": '{"vertices": 16384, "edges": 24576, "sccs": 1, "method": "power_iteration",'
+            ' "beta": 1.618033988799149, "beta_bracket": [[35853857946295, 22158902844392],'
+            ' [125488502825671, 77556159918681]], "dim": 0.4380178795136508,'
+            ' "error_bound": 2.647765340313413e-10, "iterations": 328}',
+    "1048576": '{"vertices": 6089, "edges": 8119, "sccs": 5, "method": "power_iteration",'
+               ' "beta": 1.3339860650546291, "beta_bracket": [[33603756958289, 25190485755531],'
+               ' [59337883280047, 44481636513368]], "dim": 0.262305004618325,'
+               ' "error_bound": 3.1276492507004155e-10, "iterations": 163}',
+    "1000003": '{"vertices": 5899, "edges": 7864, "sccs": 7, "method": "power_iteration",'
+               ' "beta": 1.3348293178245103, "beta_bracket": [[11945489682901, 8949076505276],'
+               ' [5176230613681, 3877822087750]], "dim": 0.26288021246490334,'
+               ' "error_bound": 2.892469597171044e-10, "iterations": 162}',
+    "16777216,67108864": '{"vertices": 8173, "edges": 8792, "sccs": 51, "method": "power_iteration",'
+                         ' "beta": 1.0764777628973543, "beta_bracket": [[4138061413334, 3844075147535],'
+                         ' [4416534767175, 4102764513469]], "dim": 0.06707951614568602,'
+                         ' "error_bound": 4.1657356730784306e-10, "iterations": 688}',
+    "P:10": '{"vertices": 2048, "edges": 3072, "sccs": 6, "method": "power_iteration",'
+            ' "beta": 1.370226958205784, "beta_bracket": [[56492492461477, 41228565925898],'
+            ' [16113680245798, 11759862221411]], "dim": 0.28670386476855697,'
+            ' "error_bound": 2.957120104341016e-10, "iterations": 459}',
+}
+
+
+@pytest.mark.parametrize("spec", list(DIM_JSON_PINNED))
+def test_dim_json_is_pinned_on_array_search_graphs(capsys, spec):
+    code, out, _ = run(capsys, "dim", spec, "--json")
+    assert code == 0
+    assert out == DIM_JSON_PINNED[spec] + "\n"

@@ -331,9 +331,9 @@ def _assert_reverse_topological(g, components):
     assert all(pos[s] >= pos[d] for s, d in zip(src.tolist(), dst.tolist()))
 
 
-# (rounds, edges per level) of the numpy search before Tarjan takes the rest:
-# unbounded, one round, few levels, Tarjan alone
-_SEARCH_BUDGETS = [(10**9, 1e-9), (1, 1e-9), (10**9, 4), (0, 1)]
+# edges per level of the numpy search before Tarjan takes the rest:
+# unbounded, a few levels, Tarjan alone
+_SEARCH_BUDGETS = [1e-9, 4, math.inf]
 
 
 @settings(max_examples=300, deadline=None)
@@ -347,7 +347,7 @@ def test_array_sccs_partition_equals_tarjan_on_label_tables(table_start, budget)
     table, start = table_start
     edges = [(s, d, a) for s, row in enumerate(table) for a, d in enumerate(row) if d >= 0]
     g = PointedLabeledGraph([(i,) for i in range(len(table))], edges, start)
-    with mock.patch.multiple(spectral, _SEARCH_ROUNDS=budget[0], _SEARCH_LEVEL_EDGES=budget[1]):
+    with mock.patch.object(spectral, "_SEARCH_LEVEL_EDGES", budget):
         label = spectral._array_sccs(g)
     comps = [np.flatnonzero(label == c).tolist() for c in range(label.max() + 1)]
     assert all(comps)  # labels are 0..count-1, none skipped
@@ -362,11 +362,14 @@ def _chain_of_cycles(k):
 
 
 @pytest.mark.parametrize("spec", [[family_value(FamilyId("N", 14))], [2**20], [2**24, 2**26],
+                                  # P:10: the start lies in a 22-vertex component of six;
+                                  # 1000003: the start is a component of its own
+                                  [family_value(FamilyId("P", 10))], [1000003],
                                   pytest.param(3000, id="chain"),
                                   pytest.param(20000, id="deep-chain")])
 def test_array_sccs_match_tarjan_on_large_graphs(spec, monkeypatch):
     _array_path(monkeypatch)
-    # a chain runs out of search rounds and levels, and Tarjan takes the rest
+    # a chain runs out of search levels, and Tarjan takes the rest
     g = _chain_of_cycles(spec) if isinstance(spec, int) else build_multi(spec)
     comps = scc(g).components
     assert _partition(comps) == _partition(spectral._tarjan(g.successors))
