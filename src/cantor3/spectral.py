@@ -6,15 +6,15 @@ maximum over strongly connected components. Everything here reads the
 graph's label table directly.
 
 Components come from one of two searches, by the graph's edge count. Below
-ARRAY_EDGE_CUTOFF, iterative Tarjan over successor lists, with a Python
-loop that splits the edges by component. At or above it, one numpy
-forward-backward search from the vertex with the largest in-degree times
-out-degree, level by level within a bounded number of levels, which finds
-that vertex's component; then one Tarjan pass over the graph with that
-component contracted to a node, which labels what is left and orders all
-components, and a split by one stable argsort. Either way the labels are
-kept as a graph view, so scc() after hausdorff_dim() does not search
-again.
+ARRAY_EDGE_CUTOFF, iterative Tarjan over successor lists. At or above it,
+one numpy forward-backward search from the vertex with the largest
+in-degree times out-degree, level by level within a bounded number of
+levels, which finds that vertex's component; then one Tarjan pass over the
+graph with that component contracted to a node, which labels what is left
+and orders all components. Either search fills one graph view: each
+vertex's component, the vertices grouped by component, and where each
+group ends. scc() and one numpy split of the edges by component read it
+for every graph, so scc() after hausdorff_dim() does not search again.
 
 Components that are bare cycles (or a lone vertex, with or without loops)
 are handled exactly. Every other component gets a positive vector v from a
@@ -49,10 +49,9 @@ _MAX_POWER_ITERATIONS = 500_000
 _MAX_SQUARINGS = 64  # 2^64 power steps
 _DENSE_GAP_FACTOR = 1e-3  # dense squaring stops at a float gap of tol times this
 POWER_SHIFT = 0.1  # the power iteration runs on A + POWER_SHIFT * I
-# Graphs with at least this many edges take the array path: SCCs by one
-# numpy forward-backward search and Tarjan, and a numpy component split.
-# Below it Tarjan and the Python split are faster; the value is the
-# measured crossover, see README "Spectral layer".
+# Graphs with at least this many edges find their SCCs by one numpy
+# forward-backward search and Tarjan; below it Tarjan alone is faster. The
+# value is the measured crossover, see README "Spectral layer".
 ARRAY_EDGE_CUTOFF = 2048
 _SEARCH_LEVEL_EDGES = 32  # one breadth-first level of the numpy SCC search per this many edges
 
@@ -68,12 +67,14 @@ class SccDecomposition:
     components runs from a later one to an earlier one.
 
     The order is the one in which Tarjan's search completes them. Below
-    ARRAY_EDGE_CUTOFF edges Tarjan runs on the graph itself; at or above
-    it, on the graph with the component the numpy search found contracted
-    to node 0 (or only its pivot, when the search ran out of levels) and
-    the other vertices numbered after it in vertex order. hausdorff_dim
-    names as dominant the first component in this order with the largest
-    bracket sum lo_c + hi_c.
+    ARRAY_EDGE_CUTOFF edges Tarjan runs on the graph itself, and the
+    Perron solve numbers each component's vertices as they leave the
+    stack; at or above it, on the graph with the component the numpy
+    search found contracted to node 0 (or only its pivot, when the search
+    ran out of levels) and the other vertices numbered after it in vertex
+    order, and the solve numbers them in vertex order. That numbering
+    fixes every bracket's rounding. hausdorff_dim names as dominant the
+    first component in this order with the largest bracket sum lo_c + hi_c.
     """
 
     components: tuple[frozenset[int], ...]
@@ -149,58 +150,52 @@ def adjacency(g: PointedLabeledGraph) -> "csr_matrix":
 
 
 def _tarjan(succ: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan; components emitted in reverse topological order."""
+    """Iterative Tarjan; components emitted in reverse topological order, each in pop order.
+
+    A vertex whose component is finished gets index n + 1, above every live
+    index, so it lowers no low-link and no on-stack flag is needed (Pearce,
+    "A space-efficient algorithm for finding strongly connected
+    components", IPL 2016).
+    """
     n = len(succ)
-    UNSEEN = -1
-    index = [UNSEEN] * n
+    done = n + 1
+    index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     stack = []
     comps = []
     counter = 0
     for root in range(n):
-        if index[root] != UNSEEN:
+        if index[root] >= 0:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            v, i = work[-1]
-            if i == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            while i < len(succ[v]):
-                w = succ[v][i]
-                i += 1
-                if index[w] == UNSEEN:
-                    work[-1] = (v, i)
-                    work.append((w, 0))
-                    descended = True
+            v, rest = work[-1]
+            for w in rest:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = done
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
     return comps
-
-
-def _tarjan_components(g: PointedLabeledGraph) -> list[list[int]]:
-    """Tarjan's components of g, each in pop order, kept as a graph view."""
-    return g._view("tarjan", lambda: _tarjan(g.successors))
 
 
 def _reach(g: PointedLabeledGraph, pivot: int, edges, limit: float):
@@ -255,36 +250,49 @@ def _array_sccs(g: PointedLabeledGraph) -> np.ndarray:
     cross = node[src] != node[dst]
     a, b = node[src[cross]], node[dst[cross]]
     order = np.argsort(a, kind="stable")
-    rank = np.empty(n - int(inside.sum()) + 1, dtype=np.intp)
-    comps = _tarjan(successor_lists(a[order], b[order], len(rank)))
-    rank[[v for c in comps for v in c]] = np.repeat(np.arange(len(comps)), [len(c) for c in comps])
-    return rank[node]
+    nodes = n - int(inside.sum()) + 1
+    return _numbered(_tarjan(successor_lists(a[order], b[order], nodes)), nodes)[0][node]
 
 
-def scc_labels(g: PointedLabeledGraph) -> np.ndarray:
-    """Component index per vertex, components numbered in emission order.
+def _numbered(comps: list[list[int]], n: int):
+    """Tarjan's lists as (label, order, ends): each vertex's list index, the
+    lists joined, and where each list ends."""
+    if len(comps) == 1:  # strongly connected: nothing to group
+        return np.zeros(n, dtype=np.intp), np.array(comps[0]), np.array([n])
+    size = [len(c) for c in comps]
+    order = np.array([v for c in comps for v in c])
+    label = np.empty(n, dtype=np.intp)
+    label[order] = np.repeat(np.arange(len(comps)), size)
+    return label, order, np.cumsum(size)
 
-    Kept as a graph view, so the spectral layer, scc() and the checks
-    search once per graph.
+
+def _components(g: PointedLabeledGraph):
+    """(label, order, ends): each vertex's component, numbered in emission
+    order; the vertices grouped by component, in Tarjan's pop order below
+    ARRAY_EDGE_CUTOFF edges and in vertex order at or above it; and where
+    each group ends in order. Kept as a graph view, so the spectral layer,
+    scc() and the checks search once per graph.
     """
     def make():
         if g.edge_count < ARRAY_EDGE_CUTOFF:
-            label = np.empty(g.n, dtype=np.intp)
-            for c, comp in enumerate(_tarjan_components(g)):
-                label[comp] = c
-            return label
-        return _array_sccs(g)
+            return _numbered(_tarjan(g.successors), g.n)
+        label = _array_sccs(g)
+        return label, np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))
 
-    return g._view("scc", make)
+    return g._view("components", make)
+
+
+def scc_labels(g: PointedLabeledGraph) -> np.ndarray:
+    """Component index per vertex, components numbered in emission order."""
+    return _components(g)[0]
 
 
 def scc(g: PointedLabeledGraph) -> SccDecomposition:
     """Strongly connected components in emission order (see SccDecomposition)."""
-    if g.edge_count < ARRAY_EDGE_CUTOFF:
-        return SccDecomposition(components=tuple(map(frozenset, _tarjan_components(g))))
-    label = scc_labels(g)
-    members = np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1])
-    return SccDecomposition(components=tuple(frozenset(m.tolist()) for m in members))
+    _, order, ends = _components(g)
+    flat, ends = order.tolist(), ends.tolist()
+    return SccDecomposition(components=tuple(
+        frozenset(flat[a:b]) for a, b in zip([0] + ends, ends)))
 
 
 def _dense_squaring(rows, cols, k: int, tol: float):
@@ -391,80 +399,45 @@ def _spectral_full(g: PointedLabeledGraph):
     components, then lies in [max of the lows, max of the highs]. The
     dominant component is the first, in emission order, with the largest
     bracket sum lo_c + hi_c.
+
+    A vertex's local index is its place in its component's group of the
+    _components view. One stable argsort groups the inner edges by
+    component, in edge order within each; a strongly connected graph has
+    nothing to group. Lone vertices and bare cycles need no search, and of
+    them only the first with the largest radius can be dominant.
     """
-    if g.edge_count >= ARRAY_EDGE_CUTOFF:
-        return _spectral_arrays(g)
-    succ = g.successors
-    comps = _tarjan_components(g)
-    comp_of = [0] * g.n
-    local = [0] * g.n
-    for c, comp in enumerate(comps):
-        for i, v in enumerate(comp):
-            comp_of[v] = c
-            local[v] = i
-    inner = [[] for _ in comps]  # each component's edges, in local indices
-    for s, row in enumerate(succ):
-        c = comp_of[s]
-        for d in row:
-            if c == comp_of[d]:
-                inner[c].append((local[s], local[d]))
-    lo = hi = Fraction(0)
-    best = None
-    for comp, edges in zip(comps, inner):
-        k = len(comp)
-        if k == 1:
-            # every inner edge of a lone vertex is a loop
-            lo_c = hi_c = Fraction(len(edges))
-            method, steps = "exact_trivial", 0
-        elif len(edges) == k:
-            # strongly connected with one out-edge per vertex: a bare cycle, radius 1
-            lo_c = hi_c = Fraction(1)
-            method, steps = "exact_trivial", 0
-        else:
-            lo_c, hi_c, method, steps = _component_bracket(
-                *np.array(edges, dtype=np.intp).T, k)
-        lo, hi = max(lo, lo_c), max(hi, hi_c)
-        if best is None or lo_c + hi_c > best[0]:
-            best = (lo_c + hi_c, comp, method, steps)
-    _, comp, method, steps = best
-    return lo, hi, frozenset(comp), method, steps, len(comps)
-
-
-def _spectral_arrays(g: PointedLabeledGraph):
-    """_spectral_full at or above ARRAY_EDGE_CUTOFF edges: the same brackets
-    and dominance rule, with the components split in numpy.
-
-    One stable argsort of the labels groups the vertices by component,
-    in global order within each, which gives the local indices; a second
-    groups the inner edges by component, in edge order within each. Lone
-    vertices and bare cycles are settled for all components at once.
-    """
-    label = scc_labels(g)
+    label, order, ends = _components(g)
     src, dst, _ = g.edge_arrays()
-    count = int(label.max()) + 1
-    ls = label[src]
-    inner = np.flatnonzero(ls == label[dst])
-    inner = inner[np.argsort(ls[inner], kind="stable")]
-    size = np.bincount(label, minlength=count)
-    edges = np.bincount(ls[inner], minlength=count)
+    count = len(ends)
     local = np.empty(g.n, dtype=np.intp)
-    local[np.argsort(label, kind="stable")] = np.arange(g.n) - np.repeat(np.cumsum(size) - size, size)
-    ends = np.cumsum(edges)
+    if count == 1:  # strongly connected: every edge is inner, nothing to group
+        local[order] = np.arange(g.n)
+        inner, size, edges = slice(None), [g.n], [len(src)]
+    else:
+        size = np.bincount(label)
+        local[order] = np.arange(g.n) - np.repeat(ends - size, size)
+        ls = label[src]
+        inner = np.flatnonzero(ls == label[dst])
+        inner = inner[np.argsort(ls[inner], kind="stable")]
+        size, edges = size.tolist(), np.bincount(ls[inner], minlength=count).tolist()
+    rows, cols = local[src[inner]], local[dst[inner]]
     brackets = {}  # component -> (lo_c, hi_c, method, steps)
-    settled = (size == 1) | (edges == size)
-    if settled.any():
-        # a lone vertex has its loop count as radius, a bare cycle radius 1;
-        # of these only the first with the largest radius can be dominant
-        radius = np.where(settled, np.where(size == 1, edges, 1), -1)
-        c = int(np.argmax(radius))
-        brackets[c] = (Fraction(int(radius[c])),) * 2 + ("exact_trivial", 0)
-    for c in np.flatnonzero(~settled).tolist():
-        e = inner[ends[c] - edges[c]:ends[c]]
-        brackets[c] = _component_bracket(local[src[e]], local[dst[e]], int(size[c]))
+    trivial = []  # (-radius, component) of each lone vertex and bare cycle
+    a = 0
+    for c, (k, e) in enumerate(zip(size, edges)):
+        if k == 1 or e == k:
+            # a lone vertex has its loop count as radius, a bare cycle radius 1
+            trivial.append((-(e if k == 1 else 1), c))
+        else:
+            brackets[c] = _component_bracket(rows[a:a + e], cols[a:a + e], k)
+        a += e
+    if trivial:
+        radius, c = min(trivial)  # the first of largest radius
+        brackets[c] = (Fraction(-radius),) * 2 + ("exact_trivial", 0)
     best = min(brackets, key=lambda c: (-(brackets[c][0] + brackets[c][1]), c))
     _, _, method, steps = brackets[best]
     return (max(b[0] for b in brackets.values()), max(b[1] for b in brackets.values()),
-            frozenset(np.flatnonzero(label == best).tolist()), method, steps, count)
+            frozenset(order[ends[best] - size[best]:ends[best]].tolist()), method, steps, count)
 
 
 def char_poly(a: "csr_matrix") -> CharPoly:

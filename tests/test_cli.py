@@ -508,6 +508,21 @@ def test_scan_csv_is_pinned(capsys):
         "5e30e2620d489ec0a224790e8f25dd32771f4ae17fe8b1baf14725e1c55fe8a2")
 
 
+def test_scan_csv_over_pairs_is_pinned(capsys):
+    # the 1 378 pairs M_1 < M_2 in 4..160, both 1 mod 3; 125 of them have two
+    # components or more, so the hash pins how components are numbered.
+    # Columns 1-6 and 8 as in test_scan_csv_is_pinned, read with csv since
+    # each label holds a comma
+    ms = range(4, 161, 3)
+    pairs = [f"{a},{b}" for i, a in enumerate(ms) for b in ms[i + 1:]]
+    assert len(pairs) == 1378
+    code, out, _ = run(capsys, "scan", *pairs, "--csv", "--precision", "12")
+    assert code == 0
+    cut = "".join(",".join(f[:6] + f[7:8]) + "\n" for f in csv.reader(io.StringIO(out)))
+    assert hashlib.sha256(cut.encode()).hexdigest() == (
+        "c380b0b08b7cc26d180b04060e89642981758b41d7f90c3a5c3a98c07221efab")
+
+
 # `dim --json` on graphs of 2048 edges or more, which take the array SCC
 # search, pinned byte for byte. No scan row reaches that search.
 DIM_JSON_PINNED = {

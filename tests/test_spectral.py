@@ -336,13 +336,17 @@ def _assert_reverse_topological(g, components):
 _SEARCH_BUDGETS = [1e-9, 4, math.inf]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=1, max_value=24).flatmap(lambda n: st.tuples(
-    # half the cells empty, so that graphs break into many components
+# label tables of 1-24 vertices with a start vertex; half the cells are
+# empty, so that graphs break into many components
+_LABEL_TABLES = st.integers(min_value=1, max_value=24).flatmap(lambda n: st.tuples(
     st.lists(st.lists(st.one_of(st.just(-1), st.integers(min_value=0, max_value=n - 1)),
                       min_size=3, max_size=3),
              min_size=n, max_size=n),
-    st.integers(min_value=0, max_value=n - 1))), st.sampled_from(_SEARCH_BUDGETS))
+    st.integers(min_value=0, max_value=n - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LABEL_TABLES, st.sampled_from(_SEARCH_BUDGETS))
 def test_array_sccs_partition_equals_tarjan_on_label_tables(table_start, budget):
     table, start = table_start
     edges = [(s, d, a) for s, row in enumerate(table) for a, d in enumerate(row) if d >= 0]
@@ -352,6 +356,31 @@ def test_array_sccs_partition_equals_tarjan_on_label_tables(table_start, budget)
     comps = [np.flatnonzero(label == c).tolist() for c in range(label.max() + 1)]
     assert all(comps)  # labels are 0..count-1, none skipped
     assert _partition(comps) == _partition(spectral._tarjan(g.successors))
+    _assert_reverse_topological(g, comps)
+
+
+def _mutual_reachability_classes(n, edges):
+    """The classes of u ~ v iff each reaches the other, by a plain closure."""
+    reach = [{v} for v in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for s, d in edges:
+            if not reach[d] <= reach[s]:
+                reach[s] |= reach[d]
+                changed = True
+    return {frozenset(u for u in reach[v] if v in reach[u]) for v in range(n)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LABEL_TABLES)
+def test_tarjan_gives_the_mutual_reachability_classes(table_start):
+    table, start = table_start
+    edges = [(s, d, a) for s, row in enumerate(table) for a, d in enumerate(row) if d >= 0]
+    g = PointedLabeledGraph([(i,) for i in range(len(table))], edges, start)
+    comps = spectral._tarjan(g.successors)
+    assert sorted(v for c in comps for v in c) == list(range(g.n))  # each vertex once
+    assert _partition(comps) == _mutual_reachability_classes(g.n, [e[:2] for e in edges])
     _assert_reverse_topological(g, comps)
 
 
