@@ -34,6 +34,7 @@ import json
 import math
 from dataclasses import dataclass
 from math import prod
+from operator import mul
 
 import numpy as np
 
@@ -68,13 +69,6 @@ def _join(chunks: list) -> np.ndarray:
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def successor_lists(src: np.ndarray, dst: np.ndarray, n: int) -> list[list[int]]:
-    """dst grouped into one Python list per vertex 0..n-1, for edges sorted by src."""
-    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
-    flat = dst.tolist()
-    return [flat[a:b] for a, b in zip([0] + ends, ends)]
-
-
 def gather(ptr: np.ndarray, items: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """items[ptr[v]:ptr[v + 1]] for every v in vs, concatenated."""
     lo, sizes = ptr[vs], ptr[vs + 1] - ptr[vs]
@@ -90,11 +84,11 @@ class PointedLabeledGraph:
     matrix, int64, or dtype=object where a carry passes int64. start is the
     start vertex and provenance says how the graph was made.
 
-    vertices (the carry vectors as int tuples), edges ((src, dst, label)
-    triples, source by source in label order), successors (destinations
-    per vertex in label order), edge_arrays() and the reverse adjacency
-    that in_edges() reads are views computed from the tables on first read
-    and kept.
+    vertices (the carry vectors as int tuples) and edges ((src, dst, label)
+    triples, source by source in label order), for exports and tests,
+    edge_arrays() and the reverse adjacency that in_edges() reads are views
+    computed from the tables on first read and kept. The Python graph walks
+    read the rows of delta.tolist(), skipping -1 cells.
 
     The constructor takes an edge list from outside, checks it once and
     finds out once whether every vertex is reachable from the start;
@@ -163,11 +157,6 @@ class PointedLabeledGraph:
     def edges(self) -> tuple:
         return self._view("edges", lambda: tuple(zip(*(a.tolist() for a in self.edge_arrays()))))
 
-    @property
-    def successors(self) -> list[list[int]]:
-        """Destinations per vertex in label order, for the Python graph walks."""
-        return self._view("successors", lambda: successor_lists(*self.edge_arrays()[:2], self.n))
-
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(src, dst, label) index arrays, source by source in label order."""
         def make():
@@ -194,12 +183,12 @@ class PointedLabeledGraph:
 
     def reachable_set(self) -> set[int]:
         """Vertices reachable from the start, by BFS over the label table."""
-        succ = self.successors
-        seen = [False] * self.n
+        rows = self.delta.tolist()
+        seen = [False] * self.n + [True]  # a -1 cell reads seen[n]: nothing to visit
         seen[self.start] = True
         order = [self.start]
         for v in order:  # the BFS queue: appended to while it is walked
-            for w in succ[v]:
+            for w in rows[v]:
                 if not seen[w]:
                     seen[w] = True
                     order.append(w)
@@ -242,13 +231,14 @@ class _CarrySearch:
     """Breadth-first search over the carry vectors of `values`, level by level.
 
     A carry vector (N_1, ..., N_r) is keyed by the mixed-radix integer
-    sum N_j * stride_j with digit j in 0..M_j div 2, or, where that key
-    would pass int64, by the carry itself (one multiplier) or the tuple of
-    carries (several), which only the Python steps see. Every vertex's children
-    come in label order and the new keys of a level are numbered in order
-    of first occurrence, in the Python steps (a dict of keys) and the numpy
-    steps (a sorted key array, merged once per level) alike. A side's index
-    is brought up to date from the key list when the search switches to it.
+    sum N_j * stride_j with digit j in 0..M_j div 2, the carry itself for
+    one multiplier. Where a key or a carry plus its multiplier could pass
+    2^62 the keys are Python ints, and only the Python steps run. Every
+    vertex's children come in label order and the new keys of a level are
+    numbered in order of first occurrence, in the Python steps (a dict of
+    keys) and the numpy steps (a sorted key array, merged once per level)
+    alike. A side's index is brought up to date from the key list when the
+    search switches to it.
 
     The Python steps walk a level in breadth-first order. The numpy steps
     hold it in key order, as the sorted new keys of the level before and
@@ -261,12 +251,14 @@ class _CarrySearch:
         self.bases = [1 + M // 2 for M in values]
         self.strides = [prod(self.bases[:j]) for j in range(len(values))]
         self.numeric = prod(self.bases) < _KEY_LIMIT and max(values) < _KEY_LIMIT
-        start = 0 if self.numeric or len(values) == 1 else (0,) * len(values)
+        dtype = np.int64 if self.numeric else object
+        self.radix = [np.array(x, dtype=dtype) for x in (values, self.strides, self.bases)]
+        self.lift = sum((M - 1) * s for M, s in zip(values, self.strides))  # key of (M_j - 1)
         self.n = 1
         self.rows = []  # Python-step table cells, flat, not yet in row_chunks
-        self.keys = [start]  # Python-step keys not yet in key_chunks
+        self.keys = [0]  # Python-step keys not yet in key_chunks
         self.row_chunks, self.key_chunks = [], []
-        self.index = {start: 0}  # key -> vertex, for the Python steps
+        self.index = {0: 0}  # key -> vertex, for the Python steps
 
     def refuse(self):
         raise RefusalError(f"carry automaton for {self.what} exceeds {self.max_vertices} vertices")
@@ -294,11 +286,9 @@ class _CarrySearch:
             self.rows = []
 
     def carries(self, keys: np.ndarray) -> np.ndarray:
-        if not self.numeric:
-            return _int_array(keys.tolist(), len(self.values))
-        if len(self.values) == 1:
-            return keys.reshape(-1, 1)
-        return keys[:, None] // np.array(self.strides) % np.array(self.bases)
+        _, strides, bases = self.radix
+        C = keys[:, None] // strides % bases
+        return C if self.numeric else _int_array(C.tolist(), len(self.values))
 
     def python_levels(self, level: list) -> list:
         """Step levels narrower than NUMPY_LEVEL_WIDTH; return the first wider one, or []."""
@@ -340,14 +330,15 @@ class _CarrySearch:
         return queue[end:]
 
     def kids(self, key) -> tuple:
-        """The keys reached from carry vector `key` by labels 0 and 1, None where not admissible."""
-        Ns = [key // s % b for s, b in zip(self.strides, self.bases)] if self.numeric else key
-        rems = [N % 3 for N in Ns]  # label 0 needs no 2 among them, label 1 no 1
-        kids = (tuple(N // 3 for N in Ns) if 2 not in rems else None,
-                tuple((N + M) // 3 for N, M in zip(Ns, self.values)) if 1 not in rems else None)
-        if not self.numeric:
-            return kids
-        return tuple(c and sum(N * s for N, s in zip(c, self.strides)) for c in kids)
+        """The keys reached from carry vector `key` by labels 0 and 1, None where not admissible.
+
+        With r_j = N_j mod 3, label 0 (no r_j = 2) takes N_j to (N_j - r_j) / 3 and
+        label 1 (no r_j = 1) to (N_j + M_j - 1 + r_j / 2) / 3, M_j being 1 mod 3.
+        """
+        rems = [key // s % b % 3 for s, b in zip(self.strides, self.bases)]
+        R = sum(map(mul, rems, self.strides))
+        return (None if 2 in rems else (key - R) // 3,
+                None if 1 in rems else (key + self.lift + R // 2) // 3)
 
     def key_order(self, level: list) -> tuple[np.ndarray, np.ndarray]:
         """Sort every key seen into the index of the numpy steps, and put a level
@@ -363,8 +354,7 @@ class _CarrySearch:
     def children(self, keys: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The children of a level given in key order, ascending, and the
         table cell of each; cell[i] is the label-0 cell of keys[i]."""
-        values, strides, bases = (np.array(x, dtype=np.int64)
-                                  for x in (self.values, self.strides, self.bases))
+        values, strides, bases = self.radix
         C = keys[:, None] // strides % bases
         rem = C % 3
         ok0, ok1 = (rem <= 1).all(axis=1), (rem != 1).all(axis=1)
@@ -598,7 +588,8 @@ def count_paths(g: PointedLabeledGraph, n: int) -> int:
 
 def _count_paths_loop(g: PointedLabeledGraph, n: int) -> int:
     """Path counts per vertex as Python ints, one add per edge per step."""
-    pairs = [(s, d) for s, d, _ in g.edges]
+    src, dst, _ = g.edge_arrays()
+    pairs = list(zip(src.tolist(), dst.tolist()))
     counts = [0] * g.n
     counts[g.start] = 1
     for _ in range(n):

@@ -6,12 +6,12 @@ maximum over strongly connected components. Everything here reads the
 graph's label table directly.
 
 Components come from one of two searches, by the graph's edge count. Below
-ARRAY_EDGE_CUTOFF, iterative Tarjan over successor lists. At or above it,
-one numpy forward-backward search from the vertex with the largest
-in-degree times out-degree, level by level within a bounded number of
-levels, which finds that vertex's component; then one Tarjan pass over the
-graph with that component contracted to a node, which labels what is left
-and orders all components. Either search fills one graph view: each
+ARRAY_EDGE_CUTOFF, iterative Tarjan over the label table's rows. At or
+above it, one numpy forward-backward search from the vertex with the
+largest in-degree times out-degree, level by level within a bounded number
+of levels, which finds that vertex's component; then one Tarjan pass over
+the graph with that component contracted to a node, which labels what is
+left and orders all components. Either search fills one graph view: each
 vertex's component, the vertices grouped by component, and where each
 group ends. scc() and one numpy split of the edges by component read it
 for every graph, so scc() after hausdorff_dim() does not search again.
@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .automaton import PointedLabeledGraph, successor_lists, validate
+from .automaton import PointedLabeledGraph, validate
 from .errors import RefusalError
 
 if TYPE_CHECKING:
@@ -66,13 +66,14 @@ class SccDecomposition:
     topological order of the condensation DAG: every edge between two
     components runs from a later one to an earlier one.
 
-    The order is the one in which Tarjan's search completes them. Below
-    ARRAY_EDGE_CUTOFF edges Tarjan runs on the graph itself, and the
-    Perron solve numbers each component's vertices as they leave the
-    stack; at or above it, on the graph with the component the numpy
-    search found contracted to node 0 (or only its pivot, when the search
-    ran out of levels) and the other vertices numbered after it in vertex
-    order, and the solve numbers them in vertex order. That numbering
+    The order is the one in which Tarjan's search completes them, taking
+    successors in label order. Below ARRAY_EDGE_CUTOFF edges Tarjan runs
+    on the label table, and the Perron solve numbers each component's
+    vertices as they leave the stack; at or above it, on the graph with
+    the component the numpy search found contracted to node 0 (or only its
+    pivot, when the search ran out of levels) and the other vertices
+    numbered after it in vertex order, and the solve numbers them in
+    vertex order. That numbering
     fixes every bracket's rounding. hausdorff_dim names as dominant the
     first component in this order with the largest bracket sum lo_c + hi_c.
     """
@@ -149,28 +150,26 @@ def adjacency(g: PointedLabeledGraph) -> "csr_matrix":
     return csr_matrix((ones, (rows, cols)), shape=(g.n, g.n))  # duplicates are summed
 
 
-def _tarjan(succ: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan; components emitted in reverse topological order, each in pop order.
+def _tarjan(rows: list[list[int]]):
+    """Iterative Tarjan over successor rows; the _components view (label, order, ends).
 
-    A vertex whose component is finished gets index n + 1, above every live
+    A vertex of finished component c gets index n + 1 + c, above every live
     index, so it lowers no low-link and no on-stack flag is needed (Pearce,
-    "A space-efficient algorithm for finding strongly connected
-    components", IPL 2016).
+    "A space-efficient algorithm for finding strongly connected components",
+    IPL 2016). A -1 cell reads index[n] = n, just as inert, and is skipped.
     """
-    n = len(succ)
-    done = n + 1
-    index = [-1] * n
+    n = len(rows)
+    index = [-1] * n + [n]
     low = [0] * n
-    stack = []
-    comps = []
-    counter = 0
+    stack, order, ends = [], [], []
+    counter, done = 0, n + 1
     for root in range(n):
         if index[root] >= 0:
             continue
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        work = [(root, iter(succ[root]))]
+        work = [(root, iter(rows[root]))]
         while work:
             v, rest = work[-1]
             for w in rest:
@@ -178,7 +177,7 @@ def _tarjan(succ: list[list[int]]) -> list[list[int]]:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    work.append((w, iter(succ[w])))
+                    work.append((w, iter(rows[w])))
                     break
                 if index[w] < low[v]:
                     low[v] = index[w]
@@ -187,15 +186,17 @@ def _tarjan(succ: list[list[int]]) -> list[list[int]]:
                 if work and low[v] < low[work[-1][0]]:
                     low[work[-1][0]] = low[v]
                 if low[v] == index[v]:
-                    comp = []
                     while True:
                         w = stack.pop()
                         index[w] = done
-                        comp.append(w)
+                        order.append(w)
                         if w == v:
                             break
-                    comps.append(comp)
-    return comps
+                    done += 1
+                    ends.append(len(order))
+    # strongly connected: np.zeros is the faster way to label every vertex 0
+    label = np.zeros(n, dtype=np.intp) if len(ends) == 1 else np.array(index[:n]) - (n + 1)
+    return label, np.array(order), np.array(ends)
 
 
 def _reach(g: PointedLabeledGraph, pivot: int, edges, limit: float):
@@ -232,8 +233,8 @@ def _array_sccs(g: PointedLabeledGraph) -> np.ndarray:
 
     What was found is contracted to node 0 and the other vertices follow in
     vertex order. The pivot's component is maximal, so one Tarjan pass over
-    the cross edges labels the rest and emits all components in reverse
-    topological order.
+    the contracted graph labels the rest and emits all components in
+    reverse topological order.
     """
     n = g.n
     src, dst, _ = g.edge_arrays()
@@ -247,23 +248,11 @@ def _array_sccs(g: PointedLabeledGraph) -> np.ndarray:
         if bw is not None:
             inside = fw[0] & bw[0]
     node = np.where(inside, 0, np.cumsum(~inside))
-    cross = node[src] != node[dst]
-    a, b = node[src[cross]], node[dst[cross]]
-    order = np.argsort(a, kind="stable")
-    nodes = n - int(inside.sum()) + 1
-    return _numbered(_tarjan(successor_lists(a[order], b[order], nodes)), nodes)[0][node]
-
-
-def _numbered(comps: list[list[int]], n: int):
-    """Tarjan's lists as (label, order, ends): each vertex's list index, the
-    lists joined, and where each list ends."""
-    if len(comps) == 1:  # strongly connected: nothing to group
-        return np.zeros(n, dtype=np.intp), np.array(comps[0]), np.array([n])
-    size = [len(c) for c in comps]
-    order = np.array([v for c in comps for v in c])
-    label = np.empty(n, dtype=np.intp)
-    label[order] = np.repeat(np.arange(len(comps)), size)
-    return label, order, np.cumsum(size)
+    leave = inside[src] & ~inside[dst]
+    # node 0's row: the edges leaving it; every other node's: its vertex's
+    # table row through node (-1 reads the appended -1; a loop lowers no low-link)
+    rows = np.append(node, -1)[g.delta[~inside]].tolist()
+    return _tarjan([node[dst[leave]].tolist()] + rows)[0][node]
 
 
 def _components(g: PointedLabeledGraph):
@@ -275,7 +264,7 @@ def _components(g: PointedLabeledGraph):
     """
     def make():
         if g.edge_count < ARRAY_EDGE_CUTOFF:
-            return _numbered(_tarjan(g.successors), g.n)
+            return _tarjan(g.delta.tolist())
         label = _array_sccs(g)
         return label, np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))
 

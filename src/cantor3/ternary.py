@@ -5,9 +5,11 @@ coefficient of 3**i. Display helpers reverse to the usual high-to-low
 reading, so 19 renders as "201".
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import ParseError, RefusalError
 
 FAMILY_KINDS = ("L", "N", "P")
 
@@ -104,8 +106,17 @@ def parse_decimal(text: str, message: str) -> int:
     return int(digits)
 
 
+def _refuse_long(log10: float, what: str) -> None:
+    """RefusalError when a value of 10**log10 or more has more decimal digits than
+    sys.get_int_max_str_digits() allows (0, or before Python 3.10.7: no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit <= log10:
+        raise RefusalError(f"{what} has over {limit} decimal digits, more than Python prints")
+
+
 def parse_family(text: str) -> FamilyId:
-    """Parse a family member 'K:k', K one of L, N, P and k >= 1."""
+    """Parse a family member 'K:k', K one of L, N, P and k >= 1; refused when
+    the member, about c * 3^k with c = 1/2, 1 or 2, is too long to print."""
     text = text.strip()
     kind, sep, index = text.partition(":")
     if kind not in FAMILY_KINDS or not sep:
@@ -113,11 +124,15 @@ def parse_family(text: str) -> FamilyId:
     k = parse_decimal(index, f"bad family index in {text!r}")
     if k < 1:
         raise ParseError(f"family index must be >= 1 in {text!r}")
+    # min: a larger k passes any limit, and would overflow the float product
+    _refuse_long(min(k, sys.maxsize) * math.log10(3) + math.log10({"L": .5, "N": 1, "P": 2}[kind]),
+                 text)
     return FamilyId(kind, k)
 
 
 def parse_multiplier(text: str) -> Multiplier:
-    """Parse one multiplier: decimal '19', ternary 't:201', or family 'L:4'."""
+    """Parse one multiplier: decimal '19', ternary 't:201', or family 'L:4';
+    refused, before its value is computed, when it is too long to print."""
     text = text.strip()
     if not text:
         raise ParseError("empty multiplier")
@@ -125,12 +140,15 @@ def parse_multiplier(text: str) -> Multiplier:
         body = text[2:]
         if not body or any(c not in "012" for c in body):
             raise ParseError(f"bad ternary literal {text!r}")
+        _refuse_long((len(body.lstrip("0")) - 1) * math.log10(3), "the ternary literal")
         value = from_ternary(tuple(int(c) for c in reversed(body)))
         if value == 0:
             raise ParseError("multiplier 0 is not allowed")
         return normalize(value)
     if text[0] in FAMILY_KINDS and text[1:2] == ":":
         return normalize(family_value(parse_family(text)))
+    if text.isascii() and text.isdigit():
+        _refuse_long(len(text) - 1, "the decimal literal")
     value = parse_decimal(text, f"cannot parse multiplier {text!r}")
     if value == 0:
         raise ParseError("multiplier 0 is not allowed")

@@ -76,6 +76,24 @@ def test_refusal_exit_code(capsys):
     assert out == "" and "4096 carry states, got 81270" in err
 
 
+def test_huge_multipliers_are_refused_while_parsing(monkeypatch, capsys):
+    import cantor3.cli as cli
+
+    # Python's default limit, also where a Python 3.10 has none
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    for spec in ("L:30000000", "1" * 5001, "t:1" + "0" * 9500):
+        code, out, err = run(capsys, "dim", spec)
+        assert code == 2 and out == "" and err.startswith("refused:"), spec[:12]
+    built = []
+    monkeypatch.setattr(cli, "build_multi", lambda *a, **k: built.append(a))
+    code, out, err = run(capsys, "scan", "L:19990..20000")
+    assert code == 2 and out == "" and built == [] and "L:19990" in err
+    code, out, err = run(capsys, "scan", "L:9010..9020")  # the first rows fit, L:9014 does not
+    assert code == 2 and out == "" and built == [] and "L:9014" in err
+    # a number option is not a multiplier: a usage error
+    assert run(capsys, "scan", "7", "--jobs", "1" * 5001)[0] == 1
+
+
 def test_blocks_refuses_before_the_first_count(capsys):
     for extendable in ([], ["--extendable"]):
         code, out, err = run(capsys, "blocks", "7", "--n", "23", *extendable)

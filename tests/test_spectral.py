@@ -18,6 +18,7 @@ from cantor3 import (
     count_paths,
     hausdorff_dim,
     scc,
+    validate,
 )
 from cantor3.families import PHI
 from cantor3.spectral import DENSE_COMPONENT_LIMIT, largest_root_bracket, log3
@@ -315,6 +316,13 @@ def _partition(comps):
     return {frozenset(c) for c in comps}
 
 
+def _tarjan_components(g):
+    """_tarjan's components of g as lists, in emission order, each in pop order."""
+    _, order, ends = spectral._tarjan(g.delta.tolist())
+    order, ends = order.tolist(), ends.tolist()
+    return [order[a:b] for a, b in zip([0] + ends, ends)]
+
+
 def _array_path(monkeypatch):
     monkeypatch.setattr(spectral, "ARRAY_EDGE_CUTOFF", 0)
 
@@ -355,7 +363,7 @@ def test_array_sccs_partition_equals_tarjan_on_label_tables(table_start, budget)
         label = spectral._array_sccs(g)
     comps = [np.flatnonzero(label == c).tolist() for c in range(label.max() + 1)]
     assert all(comps)  # labels are 0..count-1, none skipped
-    assert _partition(comps) == _partition(spectral._tarjan(g.successors))
+    assert _partition(comps) == _partition(_tarjan_components(g))
     _assert_reverse_topological(g, comps)
 
 
@@ -378,10 +386,32 @@ def test_tarjan_gives_the_mutual_reachability_classes(table_start):
     table, start = table_start
     edges = [(s, d, a) for s, row in enumerate(table) for a, d in enumerate(row) if d >= 0]
     g = PointedLabeledGraph([(i,) for i in range(len(table))], edges, start)
-    comps = spectral._tarjan(g.successors)
-    assert sorted(v for c in comps for v in c) == list(range(g.n))  # each vertex once
+    label, order, ends = spectral._tarjan(table)  # the rows as drawn, -1 cells and all
+    assert sorted(order.tolist()) == list(range(g.n))  # each vertex once
+    # components 0..c-1 in turn along order, each ending where ends says
+    sizes = np.diff(ends, prepend=0)
+    assert sizes.min() > 0
+    assert label[order].tolist() == np.repeat(np.arange(len(ends)), sizes).tolist()
+    comps = [order[a:b].tolist() for a, b in zip([0, *ends], ends)]
     assert _partition(comps) == _mutual_reachability_classes(g.n, [e[:2] for e in edges])
     _assert_reverse_topological(g, comps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LABEL_TABLES)
+def test_reachable_set_is_the_closure_from_the_start(table_start):
+    table, start = table_start
+    edges = [(s, d, a) for s, row in enumerate(table) for a, d in enumerate(row) if d >= 0]
+    g = PointedLabeledGraph([(i,) for i in range(len(table))], edges, start)
+    reach, changed = {start}, True
+    while changed:
+        changed = False
+        for s, d, _ in edges:
+            if s in reach and d not in reach:
+                reach.add(d)
+                changed = True
+    assert g.reachable_set() == reach
+    assert validate(g).reachable == (len(reach) == g.n)
 
 
 def _chain_of_cycles(k):
@@ -401,7 +431,7 @@ def test_array_sccs_match_tarjan_on_large_graphs(spec, monkeypatch):
     # a chain runs out of search levels, and Tarjan takes the rest
     g = _chain_of_cycles(spec) if isinstance(spec, int) else build_multi(spec)
     comps = scc(g).components
-    assert _partition(comps) == _partition(spectral._tarjan(g.successors))
+    assert _partition(comps) == _partition(_tarjan_components(g))
     _assert_reverse_topological(g, comps)
     assert hausdorff_dim(g).scc_count == len(comps)
 

@@ -1,9 +1,12 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cantor3 import (
     FamilyId,
     ParseError,
+    RefusalError,
     family_value,
     from_ternary,
     normalize,
@@ -95,6 +98,35 @@ def test_parse_multiplier_rejects():
     for bad in ("", "0", "t:", "t:013x", "x:3", "L:", "L:0", "L:abc", "-4", "3.5", "seven"):
         with pytest.raises(ParseError):
             parse_multiplier(bad)
+
+
+@pytest.mark.parametrize("limit", [10, 4300])
+def test_parse_refuses_multipliers_too_long_to_print(monkeypatch, limit):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit, raising=False)
+
+    def parses(text):
+        try:
+            return parse_multiplier(text).normalized_from < 10**limit
+        except RefusalError:
+            return False
+
+    # around the limit: refused exactly when the value has more than `limit` digits
+    k = int(limit / 0.4771)
+    for kind in "LNP":
+        for j in range(k - 4, k + 5):
+            assert parses(f"{kind}:{j}") == (family_value(FamilyId(kind, j)) < 10**limit)
+    for j in range(k - 4, k + 5):  # 3^j as a ternary literal, leading zeros and all
+        assert parses("t:00" + "1" + "0" * j) == (3**j < 10**limit)
+    assert parses("1" * limit) and not parses("1" * (limit + 1))
+    with pytest.raises(RefusalError):  # k too large for a float
+        parse_family("L:" + "9" * 400)
+
+
+def test_parse_takes_multipliers_below_the_default_limit(monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)  # the default
+    assert parse_multiplier("L:9000").value == (3**9000 - 1) // 2  # 4 294 digits
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)  # no limit
+    assert parse_multiplier("L:9100").value == (3**9100 - 1) // 2
 
 
 def test_parse_family():
