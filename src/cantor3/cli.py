@@ -49,12 +49,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _decimal_option(lo: int, hi: float, expected: str):
-    """argparse type of a number option: a decimal integer in lo..hi."""
+    """argparse type of a number option: a decimal integer in lo..hi. A number
+    too long to read is out of range too: argparse would not catch a RefusalError."""
     def parse(text: str) -> int:
         message = f"expected {expected}, got {text!r}"
         try:
             value = parse_decimal(text, message)
-        except ParseError:
+        except (ParseError, RefusalError):
             value = lo - 1
         if not lo <= value <= hi:
             raise argparse.ArgumentTypeError(message)

@@ -99,10 +99,13 @@ def family_value(f: FamilyId) -> int:
 
 def parse_decimal(text: str, message: str) -> int:
     """text as a number in ASCII digits, blanks around it allowed, else ParseError(message):
-    int() alone would also take a sign, underscores and non-ASCII digits."""
+    int() alone would also take a sign, underscores and non-ASCII digits. Refused when
+    it has more digits, leading zeros aside, than Python prints."""
     digits = text.strip()
     if not (digits.isascii() and digits.isdigit()):
         raise ParseError(message)
+    digits = digits.lstrip("0") or "0"
+    _refuse_long(len(digits) - 1, "the number")
     return int(digits)
 
 
@@ -147,8 +150,6 @@ def parse_multiplier(text: str) -> Multiplier:
         return normalize(value)
     if text[0] in FAMILY_KINDS and text[1:2] == ":":
         return normalize(family_value(parse_family(text)))
-    if text.isascii() and text.isdigit():
-        _refuse_long(len(text) - 1, "the decimal literal")
     value = parse_decimal(text, f"cannot parse multiplier {text!r}")
     if value == 0:
         raise ParseError("multiplier 0 is not allowed")

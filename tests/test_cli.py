@@ -94,6 +94,20 @@ def test_huge_multipliers_are_refused_while_parsing(monkeypatch, capsys):
     assert run(capsys, "scan", "7", "--jobs", "1" * 5001)[0] == 1
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["dim", "L:" + "9" * 4400], 2, "refused: "),
+    (["scan", "L:1.." + "9" * 5001], 2, "refused: "),
+    (["scan", "1.." + "9" * 5001], 2, "refused: "),
+    (["scan", "7", "--jobs", "9" * 5001], 1, "argument --jobs: expected a positive integer"),
+    (["blocks", "7", "--n", "9" * 5001], 1, "argument --n: expected a positive integer"),
+], ids=["family-index", "family-range-end", "range-end", "jobs", "n"])
+def test_numbers_too_long_to_read_are_refused(monkeypatch, capsys, argv, code, message):
+    # Python's default limit, also where a Python 3.10 has none
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    got, out, err = run(capsys, *argv)
+    assert got == code and out == "" and message in err
+
+
 def test_blocks_refuses_before_the_first_count(capsys):
     for extendable in ([], ["--extendable"]):
         code, out, err = run(capsys, "blocks", "7", "--n", "23", *extendable)

@@ -16,6 +16,7 @@ from cantor3 import (
     render_ternary,
     to_ternary,
 )
+from cantor3.ternary import parse_decimal
 
 
 @given(st.integers(min_value=0, max_value=3**20))
@@ -120,6 +121,14 @@ def test_parse_refuses_multipliers_too_long_to_print(monkeypatch, limit):
     assert parses("1" * limit) and not parses("1" * (limit + 1))
     with pytest.raises(RefusalError):  # k too large for a float
         parse_family("L:" + "9" * 400)
+
+
+def test_parse_decimal_refuses_long_numbers_before_reading_them(monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 10, raising=False)
+    assert parse_decimal("9" * 10, "bad") == 10**10 - 1
+    assert parse_decimal(" " + "0" * 20 + "9" * 10, "bad") == 10**10 - 1  # leading zeros aside
+    with pytest.raises(RefusalError):
+        parse_decimal("1" + "0" * 10, "bad")
 
 
 def test_parse_takes_multipliers_below_the_default_limit(monkeypatch):
