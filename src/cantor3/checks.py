@@ -154,7 +154,7 @@ def _table_L_dims():
         g = build_single(family_value(FamilyId("L", k)))
         r = hausdorff_dim(g)
         p = char_poly(adjacency(g))
-        if g.n != k or p.coefficients != L_poly(k) or abs(r.dim - want) > TABLE_TOL:
+        if g.n != k or p.coefficients != L_poly(k) or not abs(r.dim - want) <= TABLE_TOL:
             bad.append(f"k={k}: dim={_fmt(r.dim)} want {_fmt(want)}, vertices={g.n}")
     elapsed = perf_counter() - t0
     return _verdict(
@@ -174,8 +174,8 @@ def _family_N_phi():
         v = np.array(N_eigenvector(k))
         resid = float(np.abs(adjacency(g) @ v - PHI * v).max())
         scale = float(np.abs(v).max())
-        if (g.n != 2**k or r.scc_count != 1 or abs(r.dim - target) > dim_tol
-                or resid > resid_tol * scale):
+        if (g.n != 2**k or r.scc_count != 1 or not abs(r.dim - target) <= dim_tol
+                or not resid <= resid_tol * scale):
             bad.append(
                 f"k={k}: vertices={g.n} want {2**k}, sccs={r.scc_count},"
                 f" |dim-log3 phi|={abs(r.dim - target):.1e}, resid={resid:.1e}"
@@ -204,7 +204,7 @@ def _table_powers_of_2():
     dims = {}
     for e, want in _POW2_SINGLES.items():
         dims[e] = hausdorff_dim(build_single(2**e)).dim
-        if abs(dims[e] - want) > TABLE_TOL:
+        if not abs(dims[e] - want) <= TABLE_TOL:
             bad.append(f"2^{e}: dim={_fmt(dims[e])} want {_fmt(want)}")
     refutations = []
     for e, old in _POW2_REFUTED.items():
@@ -218,7 +218,7 @@ def _table_powers_of_2():
         refutations.append(f"{msg} > refuted entry {_fmt(old)} + {_tol(TABLE_TOL)}")
     for exps, want in _POW2_NONZERO_PAIRS.items():
         r = hausdorff_dim(build_multi([2**e for e in exps]))
-        if abs(r.dim - want) > TABLE_TOL:
+        if not abs(r.dim - want) <= TABLE_TOL:
             label = ",".join(f"2^{e}" for e in exps)
             bad.append(f"({label}): dim={_fmt(r.dim)} want {want}")
     trivial = ("exact_trivial", ((1, 1), (1, 1)))
@@ -255,7 +255,7 @@ def _N_chain_vs_L():
         chain = [family_value(FamilyId("N", k)) for k in range(1, n + 1)]
         d1 = hausdorff_dim(build_multi(chain)).dim
         d2 = hausdorff_dim(build_single(family_value(FamilyId("L", n + 1)))).dim
-        if abs(d1 - d2) > tol:
+        if not abs(d1 - d2) <= tol:
             bad.append(f"n={n}: {_fmt(d1)} vs {_fmt(d2)}")
     return _verdict(
         bad,

@@ -48,11 +48,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# A rejected option value is echoed up to this many characters, then its length.
+_ECHO_CHARS = 20
+
+
 def _decimal_option(lo: int, hi: float, expected: str):
     """argparse type of a number option: a decimal integer in lo..hi. A number
     too long to read is out of range too: argparse would not catch a RefusalError."""
     def parse(text: str) -> int:
-        message = f"expected {expected}, got {text!r}"
+        shown = repr(text) if len(text) <= _ECHO_CHARS else (
+            f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)")
+        message = f"expected {expected}, got {shown}"
         try:
             value = parse_decimal(text, message)
         except (ParseError, RefusalError):

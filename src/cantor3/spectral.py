@@ -45,7 +45,13 @@ LOG3 = math.log(3.0)
 CHAR_POLY_LIMIT = 64
 DENSE_COMPONENT_LIMIT = 192  # dense squaring up to here, sparse power iteration above
 QUOTIENT_GAP = 1e-9  # float quotient gap at which the power iteration stops
-_MAX_POWER_ITERATIONS = 500_000
+_MAX_POWER_ITERATIONS = 500_000  # products with A + POWER_SHIFT * I
+# Products per round of the power iteration, with one quotient test and one
+# normalisation a round. The solve of N:14 takes 10.8 ms with rounds of one
+# product, 8.6 ms of two, 7.4 ms of four and 6.8 ms of eight; on 2^20 the
+# rounds of eight take 168 products against 164 and save nothing (3.0 ms).
+# Best of 9, one BLAS thread, 2 shared vCPUs.
+_POWER_ROUND = 4
 _MAX_SQUARINGS = 64  # 2^64 power steps
 _DENSE_GAP_FACTOR = 1e-3  # dense squaring stops at a float gap of tol times this
 POWER_SHIFT = 0.1  # the power iteration runs on A + POWER_SHIFT * I
@@ -92,7 +98,8 @@ class DimensionResult:
     has width zero. beta is the bracket's midpoint; beta_error and
     error_bound bound |beta - true beta| and |dim - true dim|, rounded
     outward (a zero-width bracket gives 0, log_3 included). iterations
-    counts the dominant component's squarings or power steps. scc_count is
+    counts the dominant component's squarings, or its products with
+    A + POWER_SHIFT * I, a multiple of 4, on the power iteration. scc_count is
     the number of strongly connected components hausdorff_dim found;
     char_poly_dim finds none and leaves it None.
     """
@@ -311,26 +318,34 @@ def _dense_squaring(rows, cols, k: int, tol: float):
 
 
 def _power_iteration(rows, cols, k: int, tol: float):
-    """Positive vector of one irreducible component, and the power steps taken.
+    """Positive vector of one irreducible component, and the products taken.
 
-    Iterates v -> (A + cI)v, c = POWER_SHIFT, until the float quotients
-    ((A + cI)v)_i / v_i, which converge for a primitive matrix, lie within
-    tol of each other; the shift moves every quotient by c, so their gap
-    is that of A.
+    Iterates v -> (A + cI)v, c = POWER_SHIFT, in rounds of _POWER_ROUND
+    products. A round's first product u = (A + cI)v gives the float
+    quotients u_i / v_i, which converge for a primitive matrix; once they
+    lie within tol of each other v is returned (the shift moves every
+    quotient by c, so their gap is that of A). Otherwise the round takes
+    its other products and divides by the largest entry once: rows of
+    A + cI sum to at most 3.1, so entries grow less than 3.1^4 in a round.
+    The step count is the number of products before the returned v, a
+    multiple of _POWER_ROUND. A is CSR without its diagonal, built from the
+    edges grouped by row (duplicates are summed by the product).
     """
     from scipy.sparse import csr_matrix
 
-    diag = np.arange(k)
-    B = csr_matrix((np.concatenate((np.ones(len(rows)), np.full(k, POWER_SHIFT))),
-                    (np.concatenate((rows, diag)), np.concatenate((cols, diag)))),
-                   shape=(k, k))  # duplicates are summed
+    indptr = np.zeros(k + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=k), out=indptr[1:])
+    indices = np.asarray(cols, dtype=np.int32)[np.argsort(rows, kind="stable")]
+    A = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(k, k))
     v = np.ones(k)
-    for step in range(_MAX_POWER_ITERATIONS):
-        w = B.dot(v)
-        ratios = w / v
+    for step in range(0, _MAX_POWER_ITERATIONS, _POWER_ROUND):
+        u = A @ v + POWER_SHIFT * v
+        ratios = u / v
         if ratios.max() - ratios.min() <= tol:
             return v, step
-        v = w / w.max()
+        for _ in range(_POWER_ROUND - 1):
+            u = A @ u + POWER_SHIFT * u
+        v = u / u.max()
     raise RefusalError(
         f"power iteration did not reach gap {tol} within {_MAX_POWER_ITERATIONS} steps")
 

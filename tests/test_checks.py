@@ -63,6 +63,17 @@ def test_check_fails_and_names_the_bad_entry(monkeypatch, name):
     assert named in res.detail
 
 
+@pytest.mark.parametrize("name", ["table-L-dims", "family-N-phi", "table-powers-of-2",
+                                  "N-chain-vs-L"])
+def test_table_check_fails_on_a_nan_dim(monkeypatch, name):
+    real = checks.hausdorff_dim
+    nan = float("nan")
+    monkeypatch.setattr(checks, "hausdorff_dim",
+                        lambda g: dataclasses.replace(real(g), dim=nan, beta=nan))
+    res = checks.run_check(name)
+    assert not res.ok and "nan" in res.detail
+
+
 def test_check_command_reports_a_failure(monkeypatch, capsys):
     monkeypatch.setattr(checks, "hausdorff_dim", _shift_dims())
     code = main(["check", "containment"])

@@ -108,6 +108,13 @@ def test_numbers_too_long_to_read_are_refused(monkeypatch, capsys, argv, code, m
     assert got == code and out == "" and message in err
 
 
+def test_usage_error_echoes_a_bounded_prefix(capsys):
+    code, out, err = run(capsys, "blocks", "7", "--n", "9" * 5001)
+    assert code == 1 and out == ""
+    assert f"--n: expected a positive integer, got '{'9' * 20}'... (5001 characters)" in err
+    assert "9" * 21 not in err
+
+
 def test_blocks_refuses_before_the_first_count(capsys):
     for extendable in ([], ["--extendable"]):
         code, out, err = run(capsys, "blocks", "7", "--n", "23", *extendable)
@@ -563,21 +570,21 @@ DIM_JSON_PINNED = {
             ' [125488502825671, 77556159918681]], "dim": 0.4380178795136508,'
             ' "error_bound": 2.647765340313413e-10, "iterations": 328}',
     "1048576": '{"vertices": 6089, "edges": 8119, "sccs": 5, "method": "power_iteration",'
-               ' "beta": 1.3339860650546291, "beta_bracket": [[33603756958289, 25190485755531],'
-               ' [59337883280047, 44481636513368]], "dim": 0.262305004618325,'
-               ' "error_bound": 3.1276492507004155e-10, "iterations": 163}',
+               ' "beta": 1.333986065107896, "beta_bracket": [[8400939236495, 6297621436071],'
+               ' [44481636521943, 33344903422849]], "dim": 0.2623050046546715,'
+               ' "error_bound": 2.761286199692848e-10, "iterations": 164}',
     "1000003": '{"vertices": 5899, "edges": 7864, "sccs": 7, "method": "power_iteration",'
-               ' "beta": 1.3348293178245103, "beta_bracket": [[11945489682901, 8949076505276],'
-               ' [5176230613681, 3877822087750]], "dim": 0.26288021246490334,'
-               ' "error_bound": 2.892469597171044e-10, "iterations": 162}',
+               ' "beta": 1.3348293178302124, "beta_bracket": [[11945489677173, 8949076499608],'
+               ' [3235144134385, 2423638805821]], "dim": 0.2628802124687917,'
+               ' "error_bound": 1.5309498113680322e-10, "iterations": 164}',
     "16777216,67108864": '{"vertices": 8173, "edges": 8792, "sccs": 51, "method": "power_iteration",'
                          ' "beta": 1.0764777628973543, "beta_bracket": [[4138061413334, 3844075147535],'
                          ' [4416534767175, 4102764513469]], "dim": 0.06707951614568602,'
                          ' "error_bound": 4.1657356730784306e-10, "iterations": 688}',
     "P:10": '{"vertices": 2048, "edges": 3072, "sccs": 6, "method": "power_iteration",'
-            ' "beta": 1.370226958205784, "beta_bracket": [[56492492461477, 41228565925898],'
-            ' [16113680245798, 11759862221411]], "dim": 0.28670386476855697,'
-            ' "error_bound": 2.957120104341016e-10, "iterations": 459}',
+            ' "beta": 1.370226958227005, "beta_bracket": [[2882660622511, 2103783322956],'
+            ' [23519724450849, 17164838498120]], "dim": 0.286703864782654,'
+            ' "error_bound": 2.7525182133558706e-10, "iterations": 460}',
 }
 
 
@@ -586,3 +593,20 @@ def test_dim_json_is_pinned_on_array_search_graphs(capsys, spec):
     code, out, _ = run(capsys, "dim", spec, "--json")
     assert code == 0
     assert out == DIM_JSON_PINNED[spec] + "\n"
+
+
+# The brackets these graphs printed while the power iteration tested its
+# quotients after every product; its rounds of four products moved them.
+DIM_JSON_EARLIER_BRACKETS = {
+    "1048576": [[33603756958289, 25190485755531], [59337883280047, 44481636513368]],
+    "1000003": [[11945489682901, 8949076505276], [5176230613681, 3877822087750]],
+    "P:10": [[56492492461477, 41228565925898], [16113680245798, 11759862221411]],
+}
+
+
+@pytest.mark.parametrize("spec", list(DIM_JSON_EARLIER_BRACKETS))
+def test_repinned_bracket_meets_the_earlier_one(spec):
+    # both certified brackets enclose the same beta, so they intersect
+    lo, hi = (Fraction(*end) for end in json.loads(DIM_JSON_PINNED[spec])["beta_bracket"])
+    old_lo, old_hi = (Fraction(*end) for end in DIM_JSON_EARLIER_BRACKETS[spec])
+    assert lo <= old_hi and old_lo <= hi

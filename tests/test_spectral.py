@@ -22,7 +22,7 @@ from cantor3 import (
 )
 from cantor3.families import PHI
 from cantor3.spectral import DENSE_COMPONENT_LIMIT, largest_root_bracket, log3
-from cantor3.ternary import FamilyId, family_value
+from cantor3.ternary import FamilyId, family_value, parse_multiplier_list
 
 
 def _value(coeffs, x):
@@ -488,3 +488,14 @@ def test_N_bracket_contains_phi(k):
     g = build_single(family_value(FamilyId("N", k)))
     lo, hi = _bracket(hausdorff_dim(g))
     assert lo * lo - lo - 1 <= 0 <= hi * hi - hi - 1
+
+
+@pytest.mark.parametrize("spec", [f"N:{k}" for k in range(9, 17)]
+                         + ["1048576", "1000003", "P:10", "16777216,67108864"])
+def test_power_iteration_rounds_bound_the_certified_width(spec):
+    # test_N_bracket_contains_phi checks that these N:k brackets hold phi
+    r = hausdorff_dim(build_multi(parse_multiplier_list(spec)))
+    lo, hi = _bracket(r)
+    assert r.method == "power_iteration" and r.iterations % 4 == 0
+    # the stop rule's float gap bounds the exact bracket up to rounding
+    assert hi - lo <= Fraction(spectral.QUOTIENT_GAP * (1 + 1e-3))
