@@ -76,6 +76,27 @@ def gather(ptr: np.ndarray, items: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return items[idx]
 
 
+def reach(g: "PointedLabeledGraph", v: int, edges, limit: float = math.inf) -> np.ndarray | None:
+    """The bool mask of the vertices reached from v, level by level along edges
+    (g.out_edges forward, g.in_edges backward); None once the search would
+    need more than limit levels."""
+    seen = np.zeros(g.n, dtype=bool)
+    seen[v] = True
+    slot = np.empty(g.n, dtype=np.intp)
+    front, level = np.array([v]), 0
+    while len(front):
+        if level >= limit:
+            return None
+        level += 1
+        w = edges(front)
+        w = w[~seen[w]]
+        # keep one copy of each vertex: whichever write to slot lands last names it
+        slot[w] = idx = np.arange(len(w))
+        front = w[slot[w] == idx]
+        seen[front] = True
+    return seen
+
+
 class PointedLabeledGraph:
     """Immutable pointed presentation, right-resolving by construction.
 
@@ -87,14 +108,15 @@ class PointedLabeledGraph:
     vertices (the carry vectors as int tuples) and edges ((src, dst, label)
     triples, source by source in label order), for exports and tests,
     edge_arrays() and the reverse adjacency that in_edges() reads are views
-    computed from the tables on first read and kept. The Python graph walks
-    read the rows of delta.tolist(), skipping -1 cells.
+    computed from the tables on first read and kept. Every reachability
+    question is answered by reach, one numpy level search.
 
     The constructor takes an edge list from outside, checks it once and
-    finds out once whether every vertex is reachable from the start;
-    builders hand over their tables through the unchecked _make, and know
-    that from their own breadth-first order. Whether every vertex has an
-    edge out is known from construction too, or looked up once by validate.
+    finds out once, by reach from the start, whether every vertex is
+    reachable; builders hand over their tables through the unchecked _make,
+    and know that from their own breadth-first order. Whether every vertex
+    has an edge out is known from construction too, or looked up once by
+    validate.
     """
 
     __slots__ = ("delta", "carries", "start", "provenance", "_reachable", "_essential", "_views")
@@ -117,7 +139,7 @@ class PointedLabeledGraph:
             table[s][a] = d
         self._fill(np.array(table, dtype=np.int32), _int_array(rows, len(rows[0])),
                    int(start), provenance, None)
-        self._reachable = len(self.reachable_set()) == n
+        self._reachable = bool(reach(self, self.start, self.out_edges).all())
 
     def _fill(self, delta, carries, start, provenance, essential):
         self.delta, self.carries, self.start, self.provenance = delta, carries, start, provenance
@@ -182,17 +204,8 @@ class PointedLabeledGraph:
         return gather(*self._view("reverse", make), vs)
 
     def reachable_set(self) -> set[int]:
-        """Vertices reachable from the start, by BFS over the label table."""
-        rows = self.delta.tolist()
-        seen = [False] * self.n + [True]  # a -1 cell reads seen[n]: nothing to visit
-        seen[self.start] = True
-        order = [self.start]
-        for v in order:  # the BFS queue: appended to while it is walked
-            for w in rows[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    order.append(w)
-        return set(order)
+        """Vertices reachable from the start, the set of reach's mask."""
+        return set(np.flatnonzero(reach(self, self.start, self.out_edges)).tolist())
 
     def __repr__(self):
         return (f"PointedLabeledGraph({self.n} vertices, {self.edge_count} edges,"
@@ -296,8 +309,7 @@ class _CarrySearch:
         if done < self.n:  # after a numpy phase
             self.flush()
             self.index.update(zip(_join(self.key_chunks)[done:].tolist(), range(done, self.n)))
-        index, keys, rows = self.index, self.keys, self.rows
-        cap = self.max_vertices if self.max_vertices is not None else math.inf
+        index, keys, rows, cap = self.index, self.keys, self.rows, self.max_vertices
         width = NUMPY_LEVEL_WIDTH if self.numeric else math.inf
         M = self.values[0] if len(self.values) == 1 else None
         queue, end = level, len(level)  # the current level ends at queue[end]
@@ -387,7 +399,7 @@ class _CarrySearch:
         np.not_equal(s[1:], s[:-1], out=head[1:])
         starts = np.flatnonzero(head)
         uniq = s[starts]
-        if self.max_vertices is not None and n + len(uniq) > self.max_vertices:
+        if n + len(uniq) > self.max_vertices:
             self.refuse()
         by_first = np.argsort(np.minimum.reduceat(cells[fresh_at], starts))
         new_ids = np.empty(len(uniq), dtype=np.int64)
@@ -423,7 +435,7 @@ def _carry_graph(values, max_vertices, provenance) -> PointedLabeledGraph:
     return PointedLabeledGraph._make(delta, carries, 0, provenance, len(values) == 1 or None)
 
 
-def build_single(m, max_vertices: int | None = DEFAULT_MAX_VERTICES) -> PointedLabeledGraph:
+def build_single(m, max_vertices: int = DEFAULT_MAX_VERTICES) -> PointedLabeledGraph:
     """Carry automaton for a single multiplier over the digit alphabet {0,1}.
 
     Breadth-first closure from carry 0, trying label 0 before label 1, which
@@ -451,7 +463,7 @@ def trim_essential(g: PointedLabeledGraph) -> PointedLabeledGraph:
     A survivor of the peel that is reachable from the start is reachable
     through survivors: each vertex on a path from the start to it has a
     surviving successor. So graphs not reachable from the start as built
-    keep the survivors in their reachable_set, and no other search is run.
+    keep the survivors that reach finds from the start in the whole graph.
     """
     n, delta = g.n, g.delta
     outdeg = (delta >= 0).sum(axis=1)
@@ -469,9 +481,7 @@ def trim_essential(g: PointedLabeledGraph) -> PointedLabeledGraph:
         outdeg[p] -= k
         dead = p[(outdeg[p] == 0) & (p != g.start)]
     if not g._reachable:
-        reached = np.zeros(n, dtype=bool)
-        reached[list(g.reachable_set())] = True
-        alive &= reached
+        alive &= reach(g, g.start, g.out_edges)
     keep = np.flatnonzero(alive)  # fewer than n: a sink or an unreachable vertex was cut
     renum = np.full(n, -1, dtype=np.int32)
     renum[keep] = np.arange(len(keep), dtype=np.int32)
@@ -492,7 +502,7 @@ def _prepare(ms) -> list[Multiplier]:
     return [out[v] for v in sorted(out)]
 
 
-def build_multi(ms, max_vertices: int | None = DEFAULT_MAX_VERTICES) -> PointedLabeledGraph:
+def build_multi(ms, max_vertices: int = DEFAULT_MAX_VERTICES) -> PointedLabeledGraph:
     """Presentation of the intersection over several multipliers.
 
     Normalizes, deduplicates, and sorts the inputs; the multiplier 1 is no
@@ -517,7 +527,7 @@ def build_multi(ms, max_vertices: int | None = DEFAULT_MAX_VERTICES) -> PointedL
     return trim_essential(_carry_graph([m.value for m in ms], max_vertices, provenance))
 
 
-def build_multi_direct(ms, max_vertices: int | None = DEFAULT_MAX_VERTICES) -> PointedLabeledGraph:
+def build_multi_direct(ms, max_vertices: int = DEFAULT_MAX_VERTICES) -> PointedLabeledGraph:
     """Reference construction of the same intersection, one vertex at a time.
 
     A plain queue-driven breadth-first search over carry-vector tuples with
@@ -546,7 +556,7 @@ def build_multi_direct(ms, max_vertices: int | None = DEFAULT_MAX_VERTICES) -> P
             nxt = tuple((N + M * a) // 3 for N, M in zip(Ns, values))
             dst = index.get(nxt)
             if dst is None:
-                if max_vertices is not None and len(vectors) >= max_vertices:
+                if len(vectors) >= max_vertices:
                     raise RefusalError(
                         f"carry-vector automaton exceeds {max_vertices} vertices")
                 dst = len(vectors)

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .automaton import PointedLabeledGraph
 from .errors import RefusalError
 from .spectral import largest_root_bracket, log3, sign_at
@@ -102,9 +104,10 @@ def Y_graph() -> PointedLabeledGraph:
     """Two-vertex presentation of the words free on even slots, zero on odd.
 
     Start vertex 0 reads either digit and moves to 1; vertex 1 can only read
-    0 back. Spectral radius sqrt(2), dimension half of log_3(2).
+    0 back. Spectral radius sqrt(2), dimension half of log_3(2). A fixed
+    table, reachable and essential, so it is handed over unchecked like
+    every builder's.
     """
-    return PointedLabeledGraph([(0,), (1,)],
-                               [(0, 1, 0), (0, 1, 1), (1, 0, 0)],
-                               0, provenance="Y")
+    return PointedLabeledGraph._make(np.array([[1, 1, -1], [0, -1, -1]], dtype=np.int32),
+                                     np.array([[0], [1]], dtype=np.int64), 0, "Y", True)
 

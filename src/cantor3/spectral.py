@@ -7,11 +7,11 @@ graph's label table directly.
 
 Components come from one of two searches, by the graph's edge count. Below
 ARRAY_EDGE_CUTOFF, iterative Tarjan over the label table's rows. At or
-above it, one numpy forward-backward search from the vertex with the
-largest in-degree times out-degree, level by level within a bounded number
-of levels, which finds that vertex's component; then one Tarjan pass over
-the graph with that component contracted to a node, which labels what is
-left and orders all components. Either search fills one graph view: each
+above it, a forward and a backward automaton.reach from the vertex with the
+largest in-degree times out-degree, each within its own bounded number of
+levels, which find that vertex's component; then one Tarjan pass over the
+graph with that component contracted to a node, which labels what is left
+and orders all components. Either search fills one graph view: each
 vertex's component, the vertices grouped by component, and where each
 group ends. scc() and one numpy split of the edges by component read it
 for every graph, so scc() after hausdorff_dim() does not search again.
@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .automaton import PointedLabeledGraph, validate
+from .automaton import PointedLabeledGraph, reach, validate
 from .errors import RefusalError
 
 if TYPE_CHECKING:
@@ -77,11 +77,11 @@ class SccDecomposition:
     on the label table, and the Perron solve numbers each component's
     vertices as they leave the stack; at or above it, on the graph with
     the component the numpy search found contracted to node 0 (or only its
-    pivot, when the search ran out of levels) and the other vertices
-    numbered after it in vertex order, and the solve numbers them in
-    vertex order. That numbering
-    fixes every bracket's rounding. hausdorff_dim names as dominant the
-    first component in this order with the largest bracket sum lo_c + hi_c.
+    pivot, when either direction of the search ran out of levels) and the
+    other vertices numbered after it in vertex order, and the solve numbers
+    them in vertex order. That numbering fixes every bracket's rounding.
+    hausdorff_dim names as dominant the first component in this order with
+    the largest bracket sum lo_c + hi_c.
     """
 
     components: tuple[frozenset[int], ...]
@@ -206,27 +206,6 @@ def _tarjan(rows: list[list[int]]):
     return label, np.array(order), np.array(ends)
 
 
-def _reach(g: PointedLabeledGraph, pivot: int, edges, limit: float):
-    """The vertices reached from pivot, level by level along edges
-    (g.out_edges forward, g.in_edges backward), and the number of levels;
-    None once that number would pass limit."""
-    seen = np.zeros(g.n, dtype=bool)
-    seen[pivot] = True
-    slot = np.empty(g.n, dtype=np.intp)
-    front, level = np.array([pivot]), 0
-    while len(front):
-        if level >= limit:
-            return None
-        level += 1
-        w = edges(front)
-        w = w[~seen[w]]
-        # keep one copy of each vertex: whichever write to slot lands last names it
-        slot[w] = idx = np.arange(len(w))
-        front = w[slot[w] == idx]
-        seen[front] = True
-    return seen, level
-
-
 def _array_sccs(g: PointedLabeledGraph) -> np.ndarray:
     """Component label per vertex by one forward-backward search, in emission order.
 
@@ -234,9 +213,9 @@ def _array_sccs(g: PointedLabeledGraph) -> np.ndarray:
     out-degree, the likeliest member of a large component (Multistep:
     Slota, Rajamanickam and Madduri, IPDPS 2014); the vertices reached from
     it both forward and backward are its component. On long chains of
-    components a level-by-level search is slow against Tarjan, so the two
-    searches together stop after edge count / _SEARCH_LEVEL_EDGES levels,
-    and then only the pivot counts as found.
+    components a level-by-level search is slow against Tarjan, so each
+    direction stops after edge count / _SEARCH_LEVEL_EDGES levels, and if
+    either runs out only the pivot counts as found.
 
     What was found is contracted to node 0 and the other vertices follow in
     vertex order. The pivot's component is maximal, so one Tarjan pass over
@@ -249,11 +228,11 @@ def _array_sccs(g: PointedLabeledGraph) -> np.ndarray:
     inside = np.zeros(n, dtype=bool)
     inside[pivot] = True
     levels = g.edge_count / _SEARCH_LEVEL_EDGES
-    fw = _reach(g, pivot, g.out_edges, levels)
+    fw = reach(g, pivot, g.out_edges, levels)
     if fw is not None:
-        bw = _reach(g, pivot, g.in_edges, levels - fw[1])
+        bw = reach(g, pivot, g.in_edges, levels)
         if bw is not None:
-            inside = fw[0] & bw[0]
+            inside = fw & bw
     node = np.where(inside, 0, np.cumsum(~inside))
     leave = inside[src] & ~inside[dst]
     # node 0's row: the edges leaving it; every other node's: its vertex's
@@ -447,10 +426,12 @@ def _spectral_full(g: PointedLabeledGraph):
 def char_poly(a: "csr_matrix") -> CharPoly:
     """Exact characteristic polynomial by the Faddeev-LeVerrier recurrence.
 
-    Integer arithmetic throughout; the division by the step index is exact.
-    Refused above CHAR_POLY_LIMIT (64) vertices: the recurrence is cubic per
-    step and this is a verification aid, never the dimension path. Its
-    argument comes from adjacency(), which loads scipy.sparse.
+    Integer arithmetic throughout: the matrices are numpy arrays of Python
+    ints (dtype=object), multiplied by numpy, and the division by the step
+    index is exact. Refused above CHAR_POLY_LIMIT (64) vertices: the
+    recurrence is cubic per step and this is a verification aid, never the
+    dimension path. Its argument comes from adjacency(), which loads
+    scipy.sparse.
     """
     n = a.shape[0]
     if n > CHAR_POLY_LIMIT:
@@ -458,24 +439,17 @@ def char_poly(a: "csr_matrix") -> CharPoly:
                            f" {CHAR_POLY_LIMIT}x{CHAR_POLY_LIMIT}, got {n}x{n}")
     if n == 0:
         return CharPoly((1,))
-    A = a.toarray().tolist()  # exact Python ints
+    A = a.toarray().astype(object)  # exact Python ints
     cs = [1]  # descending: coefficient of x^n first
-    M = [row[:] for row in A]
+    M = A.copy()
     for k in range(1, n + 1):
         if k > 1:
-            for i in range(n):
-                M[i][i] += cs[-1]
-            M = _int_matmul(A, M)
-        tr = sum(M[i][i] for i in range(n))
-        q, r = divmod(tr, k)
+            M.flat[::n + 1] += cs[-1]
+            M = A @ M
+        q, r = divmod(M.trace(), k)
         assert r == 0, "Faddeev-LeVerrier trace division must be exact"
         cs.append(-q)
     return CharPoly(tuple(reversed(cs)))
-
-
-def _int_matmul(A, B):
-    Bt = list(zip(*B))
-    return [[sum(x * y for x, y in zip(row, col)) for col in Bt] for row in A]
 
 
 def _dimension(lo: Fraction, hi: Fraction, **fields) -> DimensionResult:

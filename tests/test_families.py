@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cantor3 import (
+    PointedLabeledGraph,
     RefusalError,
     N_eigenvector,
     Y_graph,
@@ -16,7 +17,9 @@ from cantor3 import (
     expect_N,
     hausdorff_dim,
     is_subset,
+    validate,
 )
+from cantor3.automaton import ValidationReport
 from cantor3.families import PHI, L_poly, L_root_within
 from cantor3.spectral import largest_root_bracket
 from cantor3.spectral import log3
@@ -117,6 +120,15 @@ def test_Y_graph_shape():
     r = hausdorff_dim(y)
     assert r.dim == pytest.approx(0.5 * log3(2.0), abs=1e-9)
     assert r.beta == pytest.approx(math.sqrt(2.0), abs=1e-9)
+
+
+def test_Y_graph_table_is_the_checked_graph():
+    y = Y_graph()
+    checked = PointedLabeledGraph([(0,), (1,)], [(0, 1, 0), (0, 1, 1), (1, 0, 0)], 0, "Y")
+    assert np.array_equal(y.delta, checked.delta) and y.delta.dtype == checked.delta.dtype
+    assert np.array_equal(y.carries, checked.carries) and y.carries.dtype == checked.carries.dtype
+    assert (y.start, y.provenance) == (checked.start, checked.provenance)
+    assert validate(y) == validate(checked) == ValidationReport(reachable=True, essential=True)
 
 
 def test_Y_graph_path_counts():

@@ -436,6 +436,19 @@ def test_array_sccs_match_tarjan_on_large_graphs(spec, monkeypatch):
     assert hausdorff_dim(g).scc_count == len(comps)
 
 
+def test_each_search_direction_has_its_own_level_budget(monkeypatch):
+    # on (2^24, 2^26) the forward search ends after 131 levels and the
+    # backward one after 193, of 274.75 allowed each; a budget shared by the
+    # two directions leaves the backward one 143, and Tarjan all 8 173 vertices
+    sizes = []
+    tarjan = spectral._tarjan
+    monkeypatch.setattr(spectral, "_tarjan", lambda rows: sizes.append(len(rows)) or tarjan(rows))
+    g = build_multi([2**24, 2**26])
+    assert g.edge_count >= spectral.ARRAY_EDGE_CUTOFF
+    assert hausdorff_dim(g).scc_count == 51
+    assert sizes and max(sizes) <= 51
+
+
 def _induced_bracket(g, comp):
     vs = sorted(comp)
     index = {v: i for i, v in enumerate(vs)}
