@@ -250,13 +250,15 @@ class _CarrySearch:
     vertex's children come in label order and the new keys of a level are
     numbered in order of first occurrence, in the Python steps (a dict of
     keys) and the numpy steps (a sorted key array, merged once per level)
-    alike. A side's index is brought up to date from the key list when the
-    search switches to it.
+    alike. Both write one store, the table rows and keys in row_chunks and
+    key_chunks, in vertex order, and a side's index is brought up to date
+    from the stored keys when the search switches to it.
 
     The Python steps walk a level in breadth-first order. The numpy steps
     hold it in key order, as the sorted new keys of the level before and
     the vertex of each, and look up its children in key order; a level
-    handed over by the Python steps is sorted once.
+    handed over by the Python steps is sorted once, and one handed back is
+    the last key chunk.
     """
 
     def __init__(self, values, max_vertices, what):
@@ -268,35 +270,23 @@ class _CarrySearch:
         self.radix = [np.array(x, dtype=dtype) for x in (values, self.strides, self.bases)]
         self.lift = sum((M - 1) * s for M, s in zip(values, self.strides))  # key of (M_j - 1)
         self.n = 1
-        self.rows = []  # Python-step table cells, flat, not yet in row_chunks
-        self.keys = [0]  # Python-step keys not yet in key_chunks
-        self.row_chunks, self.key_chunks = [], []
+        self.row_chunks, self.key_chunks = [], []  # the table and the keys, in vertex order
         self.index = {0: 0}  # key -> vertex, for the Python steps
 
     def refuse(self):
         raise RefusalError(f"carry automaton for {self.what} exceeds {self.max_vertices} vertices")
 
     def run(self) -> tuple[np.ndarray, np.ndarray]:
-        level = self.keys[:]  # keys of the current level in breadth-first order
+        level = [0]  # keys of the current level in breadth-first order
         while level:
             if self.numeric and len(level) >= NUMPY_LEVEL_WIDTH:
                 keys, ids = self.key_order(level)
                 while len(keys) >= NUMPY_LEVEL_WIDTH:
                     keys, ids = self.numpy_level(keys, ids)
-                level = keys[np.argsort(ids)].tolist()
+                level = self.key_chunks[-1].tolist()
             else:
                 level = self.python_levels(level)
-        self.flush()
         return _join(self.row_chunks), self.carries(_join(self.key_chunks))
-
-    def flush(self):
-        """Move the pending Python rows and keys into the chunk lists."""
-        if self.keys:
-            self.key_chunks.append(np.array(self.keys, dtype=np.int64 if self.numeric else object))
-            self.keys = []
-        if self.rows:
-            self.row_chunks.append(np.array(self.rows, dtype=np.int32).reshape(-1, 3))
-            self.rows = []
 
     def carries(self, keys: np.ndarray) -> np.ndarray:
         _, strides, bases = self.radix
@@ -307,12 +297,12 @@ class _CarrySearch:
         """Step levels narrower than NUMPY_LEVEL_WIDTH; return the first wider one, or []."""
         done = len(self.index)
         if done < self.n:  # after a numpy phase
-            self.flush()
             self.index.update(zip(_join(self.key_chunks)[done:].tolist(), range(done, self.n)))
-        index, keys, rows, cap = self.index, self.keys, self.rows, self.max_vertices
+        index, rows, cap = self.index, [], self.max_vertices
         width = NUMPY_LEVEL_WIDTH if self.numeric else math.inf
         M = self.values[0] if len(self.values) == 1 else None
         queue, end = level, len(level)  # the current level ends at queue[end]
+        fresh = end if self.key_chunks else 0  # the first phase to step the start stores it
         for i, key in enumerate(queue):  # the BFS queue: appended to while it is walked
             if i == end:
                 if len(queue) - end >= width:
@@ -332,13 +322,14 @@ class _CarrySearch:
                     if len(index) >= cap:
                         self.refuse()
                     d = index[c] = len(index)
-                    keys.append(c)
                     queue.append(c)
                 rows.append(d)
             rows.append(-1)  # no carry construction reads label 2
         else:
             end = len(queue)
         self.n = len(index)
+        self.row_chunks.append(np.array(rows, dtype=np.int32).reshape(-1, 3))
+        self.key_chunks.append(np.array(queue[fresh:], dtype=np.int64 if self.numeric else object))
         return queue[end:]
 
     def kids(self, key) -> tuple:
@@ -355,7 +346,8 @@ class _CarrySearch:
     def key_order(self, level: list) -> tuple[np.ndarray, np.ndarray]:
         """Sort every key seen into the index of the numpy steps, and put a level
         from the Python steps in key order: its keys ascending, and the vertex of each."""
-        self.flush()
+        if not self.key_chunks:  # the numpy steps go first: store the start key
+            self.key_chunks.append(np.zeros(1, dtype=np.int64))
         seen = _join(self.key_chunks)
         self.sorted_ids = np.argsort(seen, kind="stable")
         self.sorted_keys = seen[self.sorted_ids]

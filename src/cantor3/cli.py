@@ -123,7 +123,8 @@ def _expand_scan_specs(tokens):
 
 
 def _scan_row(task):
-    """One scan row; exceptions become the row's error column."""
+    """One scan row; a refusal (the vertex cap, the power-iteration product
+    cap) becomes the row's error column, and any other exception propagates."""
     label, values, max_vertices = task
     t0 = perf_counter()
     try:
@@ -131,7 +132,7 @@ def _scan_row(task):
         r = hausdorff_dim(g)
         elapsed = int((perf_counter() - t0) * 1000)
         return (label, g.n, r.scc_count, r.beta, r.dim, r.error_bound, elapsed, "")
-    except Exception as e:
+    except RefusalError as e:
         elapsed = int((perf_counter() - t0) * 1000)
         return (label, "", "", "", "", "", elapsed, str(e))
 

@@ -437,8 +437,6 @@ def char_poly(a: "csr_matrix") -> CharPoly:
     if n > CHAR_POLY_LIMIT:
         raise RefusalError(f"characteristic polynomial limited to"
                            f" {CHAR_POLY_LIMIT}x{CHAR_POLY_LIMIT}, got {n}x{n}")
-    if n == 0:
-        return CharPoly((1,))
     A = a.toarray().astype(object)  # exact Python ints
     cs = [1]  # descending: coefficient of x^n first
     M = A.copy()

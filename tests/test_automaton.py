@@ -486,6 +486,8 @@ def test_max_vertices_refusal():
         build_single(7, max_vertices=3)
     with pytest.raises(RefusalError):
         build_multi([7, 19], max_vertices=5)
+    with pytest.raises(RefusalError):
+        build_multi_direct([7, 19], max_vertices=3)
 
 
 def test_refusal_comes_before_a_level_past_the_cap(monkeypatch):
@@ -495,7 +497,7 @@ def test_refusal_comes_before_a_level_past_the_cap(monkeypatch):
     refuse = automaton._CarrySearch.refuse
 
     def spy(search):
-        held.append((search.n, sum(map(len, search.key_chunks)) + len(search.keys)))
+        held.append((search.n, sum(map(len, search.key_chunks))))
         refuse(search)
 
     monkeypatch.setattr(automaton._CarrySearch, "refuse", spy)

@@ -302,6 +302,18 @@ def test_scan_mixed_specs_and_error_column(capsys):
     assert rows[2][0] == "847288609444" and "exceeds" in rows[2][7]
 
 
+def test_scan_raises_what_is_not_a_refusal(capsys, monkeypatch):
+    import cantor3.cli as cli
+
+    # only a refusal is a row's error cell; a library fault must not print as one and exit 0
+    def broken(g):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "hausdorff_dim", broken)
+    with pytest.raises(ZeroDivisionError):
+        run(capsys, "scan", "7", "19", "--csv")
+
+
 def test_scan_jobs_deterministic(capsys):
     _, serial, _ = run(capsys, "scan", "4..13", "--csv")
     _, parallel, _ = run(capsys, "scan", "4..13", "--csv", "--jobs", "3")

@@ -75,6 +75,25 @@ def test_pointed_isomorphic_cases():
     assert not pointed_isomorphic(g, build_single(4))
 
 
+def _graph(n, edges):
+    return PointedLabeledGraph(vertices=[(v,) for v in range(n)], edges=edges, start=0)
+
+
+# (n, edges) pairs, each rejected by a different test of the mapping search:
+# the matched vertices read different labels; the left graph sends both
+# labels of the start to one vertex and the right to two; the same swapped
+_READS_OTHER_LABELS = ((2, ((0, 0, 0), (0, 1, 1), (1, 0, 0))),
+                       (2, ((0, 0, 0), (0, 1, 1), (1, 0, 1))))
+_MERGES = ((3, ((0, 1, 0), (0, 1, 1), (1, 2, 0), (2, 0, 0))),
+           (3, ((0, 1, 0), (0, 2, 1), (1, 0, 0), (2, 0, 0))))
+
+
+@pytest.mark.parametrize("left, right", [_READS_OTHER_LABELS, _MERGES, _MERGES[::-1]],
+                         ids=["labels", "merges", "splits"])
+def test_pointed_isomorphic_rejections(left, right):
+    assert not pointed_isomorphic(_graph(*left), _graph(*right))
+
+
 def test_isomorphic_implies_equal():
     for pair in ((build_multi([4, 13]), build_single(13)),
                  (build_multi([7, 63]), build_single(7))):

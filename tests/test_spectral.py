@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.sparse import csr_matrix
 
 import cantor3.spectral as spectral
 from cantor3 import (
@@ -109,6 +110,7 @@ def test_char_poly_small_cases():
     assert p.coefficients == (-1, 0, 0, 0, 1, -2, 1)
     assert p.degree == 6
     assert p.pretty() == "x^6 - 2x^5 + x^4 - 1"
+    assert char_poly(csr_matrix((0, 0), dtype=np.int64)).coefficients == (1,)  # no step taken
 
 
 def test_char_poly_matches_numpy_determinant():
@@ -159,6 +161,7 @@ def test_largest_root_bracket_is_exact():
     assert largest_root_bracket((0, 0, 1))[:2] == (0, 0)
     lo, hi, k = largest_root_bracket((-1, 0, 1))  # x^2 - 1: the larger root 1
     assert lo == hi == 1 << k
+    assert largest_root_bracket((2, -3, 1)) == (32, 32, 4)  # (x-1)(x-2): the root 2 at hi
     with pytest.raises(ValueError):
         largest_root_bracket((1, 0, 1))  # x^2 + 1 has no real root
 
