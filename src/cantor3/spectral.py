@@ -26,11 +26,12 @@ The Collatz-Wielandt quotients (Av)_i / v_i of any positive v bracket the
 Perron root from both sides (Meyer, Matrix Analysis, 8.3); _certify takes
 their min and max in exact integer arithmetic, so the bracket is a proof
 that rounding cannot break, and only its width depends on the vector.
+Every bracket end travels as a (numerator, denominator) pair of Python
+ints, from _certify through the maximum over components to _dimension.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -91,8 +92,9 @@ class SccDecomposition:
 class DimensionResult:
     """beta and dim = log_3 beta, certified by an exact rational bracket.
 
-    beta_bracket holds the bracket's ends as (numerator, denominator)
-    pairs, and the true beta lies between them. For dense_squaring and
+    beta_bracket holds the bracket's ends as reduced (numerator,
+    denominator) pairs, and the true beta lies between them; the spectral
+    layer carries every bracket as such int pairs, never as Fraction. For dense_squaring and
     power_iteration it is the exact Collatz-Wielandt bracket of the vector
     found, for char_poly_root the Sturm bracket, and for exact_trivial it
     has width zero. beta is the bracket's midpoint; beta_error and
@@ -329,8 +331,9 @@ def _power_iteration(rows, cols, k: int, tol: float):
         f"power iteration did not reach gap {tol} within {_MAX_POWER_ITERATIONS} steps")
 
 
-def _certify(rows, cols, v) -> tuple[Fraction, Fraction]:
-    """Exact min and max of (Av)_i / v_i, which bracket the Perron root of A.
+def _certify(rows, cols, v) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Exact min and max of (Av)_i / v_i, which bracket the Perron root of A,
+    as (numerator, denominator) pairs w_i, x_i, not reduced.
 
     The Collatz-Wielandt bound holds for every positive v, so this cannot
     fail; a poor v only widens the bracket. v is scaled to integers
@@ -358,7 +361,7 @@ def _certify(rows, cols, v) -> tuple[Fraction, Fraction]:
         for c, d in pairs:
             if (c * b - a * d) * sign > 0:
                 a, b = c, d
-        return Fraction(a, b)
+        return a, b
 
     return (exact(q <= q.min() * (1 + 2.0**-48), -1),
             exact(q >= q.max() * (1 - 2.0**-48), 1))
@@ -378,10 +381,11 @@ def _component_bracket(rows, cols, k: int):
 def _spectral_full(g: PointedLabeledGraph):
     """Exact bracket (lo, hi) of beta, dominant vertex set, method, iterations, component count.
 
-    Each component gets an exact bracket; beta, the maximum over the
-    components, then lies in [max of the lows, max of the highs]. The
-    dominant component is the first, in emission order, with the largest
-    bracket sum lo_c + hi_c.
+    Each component gets an exact bracket, its ends (numerator, denominator)
+    pairs; beta, the maximum over the components, then lies in [max of the
+    lows, max of the highs]. The dominant component is the first, in
+    emission order, with the largest bracket sum lo_c + hi_c. The maxima
+    and sums are taken by cross-multiplication, with no Fraction built.
 
     A vertex's local index is its place in its component's group of the
     _components view. One stable argsort groups the inner edges by
@@ -404,7 +408,7 @@ def _spectral_full(g: PointedLabeledGraph):
         inner = inner[np.argsort(ls[inner], kind="stable")]
         size, edges = size.tolist(), np.bincount(ls[inner], minlength=count).tolist()
     rows, cols = local[src[inner]], local[dst[inner]]
-    brackets = {}  # component -> (lo_c, hi_c, method, steps)
+    brackets = {}  # component -> (lo_c, hi_c, method, steps), the ends as int pairs
     trivial = []  # (-radius, component) of each lone vertex and bare cycle
     a = 0
     for c, (k, e) in enumerate(zip(size, edges)):
@@ -416,11 +420,24 @@ def _spectral_full(g: PointedLabeledGraph):
         a += e
     if trivial:
         radius, c = min(trivial)  # the first of largest radius
-        brackets[c] = (Fraction(-radius),) * 2 + ("exact_trivial", 0)
-    best = min(brackets, key=lambda c: (-(brackets[c][0] + brackets[c][1]), c))
-    _, _, method, steps = brackets[best]
-    return (max(b[0] for b in brackets.values()), max(b[1] for b in brackets.values()),
-            frozenset(order[ends[best] - size[best]:ends[best]].tolist()), method, steps, count)
+        brackets[c] = ((-radius, 1),) * 2 + ("exact_trivial", 0)
+    lo = hi = top = (-1, 1)  # below every end and every sum lo_c + hi_c
+    for c in sorted(brackets):
+        lo_c, hi_c, method_c, steps_c = brackets[c]
+        if _exceeds(lo_c, lo):
+            lo = lo_c
+        if _exceeds(hi_c, hi):
+            hi = hi_c
+        sum_c = (lo_c[0] * hi_c[1] + hi_c[0] * lo_c[1], lo_c[1] * hi_c[1])
+        if _exceeds(sum_c, top):
+            best, top, method, steps = c, sum_c, method_c, steps_c
+    return (lo, hi, frozenset(order[ends[best] - size[best]:ends[best]].tolist()),
+            method, steps, count)
+
+
+def _exceeds(x, y) -> bool:
+    """x > y for (numerator, denominator) pairs with positive denominators."""
+    return x[0] * y[1] > y[0] * x[1]
 
 
 def char_poly(a: "csr_matrix") -> CharPoly:
@@ -450,37 +467,43 @@ def char_poly(a: "csr_matrix") -> CharPoly:
     return CharPoly(tuple(reversed(cs)))
 
 
-def _dimension(lo: Fraction, hi: Fraction, **fields) -> DimensionResult:
+def _dimension(lo, hi, **fields) -> DimensionResult:
     """The result for an exact bracket [lo, hi] of beta, with outward-rounded error bounds.
 
-    beta is the midpoint rounded to the nearest float. The dimension bounds
-    step four ulps outward from log_3 of the bracket's ends, themselves
-    rounded outward to floats, which covers the rounding of math.log and
-    of the division by ln 3.
+    lo and hi are (numerator, denominator) pairs with positive
+    denominators; each is reduced once, and beta_bracket holds them
+    reduced. beta is the midpoint rounded to the nearest float: CPython's
+    int / int is correctly rounded, so every float taken from a ratio here
+    is the float nearest the exact rational. The dimension bounds step
+    four ulps outward from log_3 of the bracket's ends, themselves rounded
+    outward to floats, which covers the rounding of math.log and of the
+    division by ln 3.
     """
-    beta = float((lo + hi) / 2)
+    (a, b), (c, d) = lo, hi
+    g, h = math.gcd(a, b), math.gcd(c, d)
+    a, b, c, d = a // g, b // g, c // h, d // h
+    beta = (a * d + c * b) / (2 * b * d)
     dim = log3(beta)
     beta_error = error_bound = 0.0
-    if lo != hi:
-        beta_error = _up(max(hi - Fraction(beta), Fraction(beta) - lo))
-        dim_lo = _step(log3(_step(float(lo), -math.inf)), -math.inf, 4)
-        dim_hi = _step(log3(_step(float(hi), math.inf)), math.inf, 4)
+    if a * d != c * b:
+        p, q = beta.as_integer_ratio()
+        over, under = (c * q - p * d, d * q), (p * b - a * q, q * b)  # hi - beta, beta - lo
+        n, m = under if _exceeds(under, over) else over
+        beta_error = n / m
+        r, s = beta_error.as_integer_ratio()
+        if r * m < n * s:  # rounded down: the least float >= n / m is the next one up
+            beta_error = math.nextafter(beta_error, math.inf)
+        dim_lo = _step(log3(_step(a / b, -math.inf)), -math.inf, 4)
+        dim_hi = _step(log3(_step(c / d, math.inf)), math.inf, 4)
         error_bound = _step(max(dim - dim_lo, dim_hi - dim), math.inf)
     return DimensionResult(beta=beta, dim=dim, error_bound=error_bound, beta_error=beta_error,
-                           beta_bracket=(lo.as_integer_ratio(), hi.as_integer_ratio()),
-                           **fields)
+                           beta_bracket=((a, b), (c, d)), **fields)
 
 
 def _step(x: float, toward: float, ulps: int = 1) -> float:
     for _ in range(ulps):
         x = math.nextafter(x, toward)
     return x
-
-
-def _up(x: Fraction) -> float:
-    """The least float >= x."""
-    f = float(x)
-    return f if f >= x else math.nextafter(f, math.inf)
 
 
 def hausdorff_dim(g: PointedLabeledGraph) -> DimensionResult:
@@ -493,7 +516,7 @@ def hausdorff_dim(g: PointedLabeledGraph) -> DimensionResult:
     """
     validate(g).require("presentation")
     lo, hi, comp, method, steps, scc_count = _spectral_full(g)
-    assert hi >= 1, "an essential graph contains a cycle"
+    assert hi[0] >= hi[1], "an essential graph contains a cycle"
     return _dimension(lo, hi, method=method, dominant_component=comp,
                       scc_count=scc_count, iterations=steps)
 
@@ -602,5 +625,5 @@ def char_poly_dim(g: PointedLabeledGraph) -> DimensionResult:
     lo, hi, k = largest_root_bracket(char_poly(adjacency(g)).coefficients)
     if hi < 1 << k:
         raise ValueError("graph has no cycle, so no dimension")
-    return _dimension(Fraction(lo, 1 << k), Fraction(hi, 1 << k), method="char_poly_root",
+    return _dimension((lo, 1 << k), (hi, 1 << k), method="char_poly_root",
                       dominant_component=frozenset())

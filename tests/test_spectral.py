@@ -266,7 +266,8 @@ def test_bracket_holds_on_both_sides_of_the_cutoff(k, method):
     e = np.array(g.edges)
     rows, cols = e[:, 0], e[:, 1]
     other = spectral._power_iteration if method == "dense_squaring" else spectral._dense_squaring
-    o_lo, o_hi = spectral._certify(rows, cols, other(rows, cols, k, 1e-9)[0])
+    o_lo, o_hi = (Fraction(*end) for end in
+                  spectral._certify(rows, cols, other(rows, cols, k, 1e-9)[0]))
     assert lo <= o_hi and o_lo <= hi
 
 
@@ -302,7 +303,8 @@ def test_certify_takes_the_exact_quotient_extremes():
         for i, j in zip(rows.tolist(), cols.tolist()):
             w[i] += int(x[j])
         q = [Fraction(w[i], int(x[i])) for i in range(40)]
-        assert spectral._certify(rows, cols, x.astype(float)) == (min(q), max(q))
+        certified = spectral._certify(rows, cols, x.astype(float))
+        assert tuple(Fraction(*end) for end in certified) == (min(q), max(q))
 
 
 def test_certify_scales_exactly_when_int64_would_zero_an_entry():
@@ -310,9 +312,68 @@ def test_certify_scales_exactly_when_int64_would_zero_an_entry():
     rows, cols = e[:, 0], e[:, 1]
     v = np.ones(4)
     v[2] = 2.0**-60  # rint(v_2 * 2^52) would be 0
-    lo, hi = spectral._certify(rows, cols, v)
+    lo, hi = (Fraction(*end) for end in spectral._certify(rows, cols, v))
     assert lo < hi
     assert lo * lo - lo - 1 <= 0 <= hi * hi - hi - 1
+
+
+def _fraction_dimension(lo, hi):
+    """spectral._dimension as it was on Fraction ends, the reference for its int pairs.
+
+    Returns the fields it fills: beta, dim, error_bound, beta_error and beta_bracket.
+    """
+    lo, hi = Fraction(*lo), Fraction(*hi)
+    beta = float((lo + hi) / 2)
+    dim = log3(beta)
+    beta_error = error_bound = 0.0
+    if lo != hi:
+        err = max(hi - Fraction(beta), Fraction(beta) - lo)
+        beta_error = float(err) if float(err) >= err else math.nextafter(float(err), math.inf)
+        dim_lo = spectral._step(log3(spectral._step(float(lo), -math.inf)), -math.inf, 4)
+        dim_hi = spectral._step(log3(spectral._step(float(hi), math.inf)), math.inf, 4)
+        error_bound = spectral._step(max(dim - dim_lo, dim_hi - dim), math.inf)
+    return beta, dim, error_bound, beta_error, (lo.as_integer_ratio(), hi.as_integer_ratio())
+
+
+@st.composite
+def _random_end(draw):
+    d = draw(st.integers(min_value=1, max_value=2**60))
+    return Fraction(draw(st.integers(min_value=d // 2 + 1, max_value=4 * d)), d)
+
+
+@st.composite
+def _near_a_float_midpoint(draw):
+    """Ends one ulp either side of the midpoint between two adjacent floats,
+    each moved by nothing or by 2^-60 of an ulp, so that the bracket's own
+    midpoint is that tie or just off it."""
+    f = draw(st.floats(min_value=0.75, max_value=4.0))
+    u = Fraction(math.ulp(f))
+    m = Fraction(f) + u / 2
+    nudge = st.sampled_from([0, u / 2**60, -u / 2**60])
+    return m - u + draw(nudge), m + u + draw(nudge)
+
+
+_BRACKETS = st.one_of(
+    st.tuples(_random_end(), _random_end()),
+    _random_end().map(lambda x: (x, x)),  # equal ends
+    st.integers(min_value=1, max_value=4).map(lambda n: (Fraction(n), Fraction(n))),
+    st.tuples(st.integers(min_value=1, max_value=4), _random_end()).map(
+        lambda t: (Fraction(t[0]), t[1])),
+    _near_a_float_midpoint(),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_BRACKETS, st.integers(min_value=1, max_value=2**8), st.integers(min_value=1, max_value=2**8))
+def test_dimension_on_int_pairs_matches_the_fraction_reference(ends, s, t):
+    lo, hi = sorted(ends)
+    # unreduced pairs, as _certify returns them
+    lo, hi = (lo.numerator * s, lo.denominator * s), (hi.numerator * t, hi.denominator * t)
+    r = spectral._dimension(lo, hi, method="x", dominant_component=frozenset())
+    got = r.beta, r.dim, r.error_bound, r.beta_error
+    want = _fraction_dimension(lo, hi)
+    assert [x.hex() for x in got] == [x.hex() for x in want[:4]], (lo, hi)
+    assert r.beta_bracket == want[4]
 
 
 def _partition(comps):
@@ -473,6 +534,31 @@ def test_dominant_component_is_the_same_on_both_paths(monkeypatch):
             lo1, hi1 = _induced_bracket(g, tarjan.dominant_component)
             lo2, hi2 = _induced_bracket(g, array.dominant_component)
             assert lo1 <= hi2 and lo2 <= hi1, spec
+
+
+def test_equal_brackets_keep_the_component_emitted_first(monkeypatch):
+    # the start leads by label 0 and by label 1 into two copies of one chorded cycle
+    k = 10
+    edges = [(0, 1, 0), (0, k + 1, 1)]
+    edges += [(o + s, o + d, a) for o in (1, k + 1) for s, d, a in _chorded_cycle(k).edges]
+    g = PointedLabeledGraph([(v,) for v in range(2 * k + 1)], edges, 0)
+    first, second = frozenset(range(1, k + 1)), frozenset(range(k + 1, 2 * k + 1))
+    assert scc(g).components == (first, second, frozenset({0}))
+    certified = []
+    certify = spectral._certify
+    monkeypatch.setattr(spectral, "_certify",
+                        lambda *a: certified.append(certify(*a)) or certified[-1])
+    r = hausdorff_dim(g)
+    assert len(certified) == 2 and certified[0] == certified[1]  # a tie, bit for bit
+    assert r.dominant_component == first
+    assert _induced_bracket(g, first) == _induced_bracket(g, second)
+    # two lone vertices with loops by labels 0 and 1: the first of radius 2 is kept
+    g = PointedLabeledGraph([(0,), (1,), (2,)],
+                            [(0, 1, 0), (0, 2, 1), (1, 1, 0), (1, 1, 1), (2, 2, 0), (2, 2, 1)], 0)
+    r = hausdorff_dim(g)
+    assert scc(g).components == (frozenset({1}), frozenset({2}), frozenset({0}))
+    assert r.method == "exact_trivial" and r.beta_bracket == ((2, 1), (2, 1))
+    assert r.dominant_component == {1}
 
 
 def test_small_scc_reads_tarjan_order_like_the_labels():
