@@ -18,6 +18,7 @@ from .automaton import (
     build_multi,
     to_dot,
     to_json,
+    usable_cpus,
 )
 from .checks import SUITES, run_suite
 from .errors import ParseError, RefusalError
@@ -161,7 +162,7 @@ def cmd_scan(args) -> int:
         for ms, label in _expand_scan_specs(args.specs)
     ]
     # the pool forks every worker up front, so never ask for more than can run
-    jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
+    jobs = min(args.jobs, usable_cpus(), len(tasks))
     if jobs > 1:
         # imported here: the pool pulls in multiprocessing, which serial runs never use
         from concurrent.futures import ProcessPoolExecutor

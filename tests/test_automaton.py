@@ -1,8 +1,12 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import sys
+import threading
 from collections import deque
+from contextlib import contextmanager, nullcontext
 from unittest.mock import patch
 
 import numpy as np
@@ -344,6 +348,14 @@ def test_count_paths_kernel_on_wide_fan_in():
     assert _count_paths_limbs(g, 200) == 3**200
 
 
+@contextmanager
+def _split_forced():
+    """The kernel's halves run on two threads, whatever the graph, the length and the CPUs."""
+    with patch.object(automaton, "SPLIT_HALVES_EDGE_STEPS", 0), \
+            patch.object(automaton, "usable_cpus", lambda: 2):
+        yield
+
+
 @st.composite
 def _label_tables(draw):
     """Small right-resolving graphs with sinks, duplicate edges and any start."""
@@ -367,7 +379,10 @@ _SINK_ROW = PointedLabeledGraph([(0,), (1,), (2,)], [(1, 0, 0), (1, 2, 1), (1, 2
 @example(_FULL_PAIR, 137)  # 68 steps forward, 69 backward
 @example(_SINK_ROW, 133)  # vertex 0 is a sink; duplicate edges 1 -> 2
 def test_count_paths_kernel_matches_loop_on_label_tables(g, n):
-    assert _count_paths_limbs(g, n) == _count_paths_loop(g, n)
+    want = _count_paths_loop(g, n)
+    assert _count_paths_limbs(g, n) == want
+    with _split_forced():
+        assert _count_paths_limbs(g, n) == want
 
 
 def test_exact_dot_at_the_piece_width_bound():
@@ -391,10 +406,116 @@ def test_count_paths_kernel_matches_oracle():
     trimmed = trim_essential(raw)
     pair = build_multi([7, 19])
     for n in (0, 1, 5, 10):
-        assert _count_paths_limbs(g, n) == brute_count([m], n)
-        assert _count_paths_limbs(raw, n) == brute_count([4, 16], n)
-        assert _count_paths_limbs(trimmed, n) == brute_count_extendable([4, 16], n)
-        assert _count_paths_limbs(pair, n) == brute_count_extendable([7, 19], n)
+        for halves in (nullcontext, _split_forced):
+            with halves():
+                assert _count_paths_limbs(g, n) == brute_count([m], n)
+                assert _count_paths_limbs(raw, n) == brute_count([4, 16], n)
+                assert _count_paths_limbs(trimmed, n) == brute_count_extendable([4, 16], n)
+                assert _count_paths_limbs(pair, n) == brute_count_extendable([7, 19], n)
+
+
+def _record_limb_threads(monkeypatch):
+    """Wraps _limb_steps; returns the list of (thread, forward?) of each call."""
+    calls, limb_steps = [], automaton._limb_steps
+
+    def recorded(rows, cols, X, k):
+        calls.append((threading.current_thread(), int(X.sum()) == 1))
+        return limb_steps(rows, cols, X, k)
+
+    monkeypatch.setattr(automaton, "_limb_steps", recorded)
+    return calls
+
+
+def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert automaton.usable_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert automaton.usable_cpus() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert automaton.usable_cpus() == 1
+
+
+def test_count_paths_splits_the_halves_above_the_crossover(monkeypatch):
+    g = build_multi([3**14 + 1])
+    assert g.edge_count * 50 < automaton.SPLIT_HALVES_EDGE_STEPS <= g.edge_count * 400
+    calls = _record_limb_threads(monkeypatch)
+    me = threading.current_thread()
+    with patch.object(automaton, "usable_cpus", lambda: 1):
+        serial = count_paths(g, 400)
+    assert calls == [(me, True), (me, False)]
+    del calls[:]
+    before = threading.active_count()
+    with patch.object(automaton, "usable_cpus", lambda: 2):
+        assert count_paths(g, 400) == serial
+        # the forward half in the worker, the backward one here
+        assert sorted((forward, t is me) for t, forward in calls) == [(False, True), (True, False)]
+        del calls[:]
+        count_paths(g, 50)  # below the crossover: both halves here
+        assert calls == [(me, True), (me, False)]
+    assert threading.active_count() == before
+
+
+def test_count_paths_stays_serial_on_one_cpu(monkeypatch):
+    g = build_multi([3**7 + 1])
+    want = _count_paths_loop(g, 300)
+    calls = _record_limb_threads(monkeypatch)
+    before = threading.active_count()
+    with patch.object(automaton, "SPLIT_HALVES_EDGE_STEPS", 0), \
+            patch.object(automaton, "usable_cpus", lambda: 1), \
+            patch.object(threading.Thread, "start", side_effect=AssertionError("thread started")):
+        assert count_paths(g, 300) == want
+    me = threading.current_thread()
+    assert calls == [(me, True), (me, False)]
+    assert threading.active_count() == before
+
+
+def test_count_paths_raises_the_forward_half_failure(monkeypatch):
+    class ForwardFailed(Exception):
+        pass
+
+    g, limb_steps = build_multi([3**7 + 1]), automaton._limb_steps
+
+    def failing(rows, cols, X, k):
+        if int(X.sum()) == 1:  # the forward half starts from e_start
+            raise ForwardFailed(threading.current_thread().name)
+        return limb_steps(rows, cols, X, k)
+
+    monkeypatch.setattr(automaton, "_limb_steps", failing)
+    before = threading.active_count()
+    with _split_forced(), pytest.raises(ForwardFailed) as failure:
+        count_paths(g, 300)
+    assert failure.value.args[0] != threading.current_thread().name
+    assert threading.active_count() == before
+
+
+def test_split_halves_under_concurrent_callers():
+    # four callers, each with its own worker: eight threads on a shared
+    # graph, switched as often as the interpreter allows
+    g = build_multi([3**7 + 1])
+    want = {n: _count_paths_loop(g, n) for n in (199, 200, 300)}
+    results = [[] for _ in range(4)]
+
+    def caller(out):
+        for _ in range(5):
+            for n in want:
+                out.append((n, count_paths(g, n)))
+
+    threads = [threading.Thread(target=caller, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        with _split_forced():
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for out in results:
+        assert len(out) == 15
+        assert all(count == want[n] for n, count in out)
 
 
 def test_count_paths_takes_the_kernel_at_the_cutoff(monkeypatch):

@@ -424,7 +424,7 @@ def test_scan_jobs_clamped_to_cpus_and_tasks(monkeypatch, capsys):
 
     # cmd_scan imports the pool from concurrent.futures only when it runs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 4)
     _, serial, _ = run(capsys, "scan", "4..13", "--csv")
     _, pooled, _ = run(capsys, "scan", "4..13", "--csv", "--jobs", "100000")
     assert sizes == [4]
@@ -433,9 +433,9 @@ def test_scan_jobs_clamped_to_cpus_and_tasks(monkeypatch, capsys):
     run(capsys, "scan", "4..6", "--csv", "--jobs", "100000")
     assert sizes == [4, 3]  # three rows need three workers at most
     run(capsys, "scan", "7,19", "--csv", "--jobs", "100000")
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
     run(capsys, "scan", "4..13", "--csv", "--jobs", "8")
-    assert sizes == [4, 3]  # one row, or an unknown CPU count, runs serially
+    assert sizes == [4, 3]  # one row, or one usable CPU, runs serially
 
 
 def test_one_tarjan_per_graph(monkeypatch, capsys):
