@@ -28,7 +28,6 @@ from .spectral import (
     DimensionResult,
     adjacency,
     char_poly,
-    char_poly_dim,
     hausdorff_dim,
     scc,
 )

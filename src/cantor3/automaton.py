@@ -238,7 +238,8 @@ def _trivial_graph(values) -> PointedLabeledGraph:
     # only the zero word survives: one vertex, one 0-labeled loop
     desc = ",".join(str(v) for v in values)
     return PointedLabeledGraph._make(np.array([[0, -1, -1]], dtype=np.int32),
-                                     np.zeros((1, 1), dtype=np.int64), 0, f"trivial({desc})", True)
+                                     np.zeros((1, len(values)), dtype=np.int64), 0,
+                                     f"trivial({desc})", True)
 
 
 class _CarrySearch:

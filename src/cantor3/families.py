@@ -9,7 +9,6 @@ generable and computable but carries no closed form here.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -40,16 +39,10 @@ def L_poly(k: int) -> tuple[int, ...]:
     return (-1,) + (0,) * (k - 2) + (-1, 1)
 
 
-def _L_root(k: int) -> tuple[Fraction, Fraction]:
-    """Exact bracket of width <= 2^-40 on the largest root of x^k - x^(k-1) - 1."""
-    lo, hi, e = largest_root_bracket(L_poly(k))
-    return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
-
-
 def expect_L(k: int) -> FamilyExpectation:
     """k vertices, one component, Perron root of x^k - x^(k-1) - 1."""
-    lo, hi = _L_root(k)
-    return FamilyExpectation(FamilyId("L", k), log3(float((lo + hi) / 2)), k, 1, L_poly(k))
+    lo, hi, e = largest_root_bracket(L_poly(k))  # exact, of width <= 2^-40
+    return FamilyExpectation(FamilyId("L", k), log3((lo + hi) / (2 << e)), k, 1, L_poly(k))
 
 
 def expect_N(k: int) -> FamilyExpectation:

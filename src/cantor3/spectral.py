@@ -94,27 +94,27 @@ class DimensionResult:
 
     beta_bracket holds the bracket's ends as reduced (numerator,
     denominator) pairs, and the true beta lies between them; the spectral
-    layer carries every bracket as such int pairs, never as Fraction. For dense_squaring and
-    power_iteration it is the exact Collatz-Wielandt bracket of the vector
-    found, for char_poly_root the Sturm bracket, and for exact_trivial it
-    has width zero. beta is the bracket's midpoint; beta_error and
-    error_bound bound |beta - true beta| and |dim - true dim|, rounded
-    outward (a zero-width bracket gives 0, log_3 included). iterations
-    counts the dominant component's squarings, or its products with
-    A + POWER_SHIFT * I, a multiple of 4, on the power iteration. scc_count is
-    the number of strongly connected components hausdorff_dim found;
-    char_poly_dim finds none and leaves it None.
+    layer carries every bracket as such int pairs, never as Fraction. For
+    dense_squaring and power_iteration it is the exact Collatz-Wielandt
+    bracket of the vector found, and for exact_trivial it has width zero.
+    beta is the bracket's midpoint; beta_error and error_bound bound
+    |beta - true beta| and |dim - true dim|, rounded outward (a zero-width
+    bracket gives 0, log_3 included). dominant_component is the component
+    that gave method and iterations, and scc_count the number of strongly
+    connected components. iterations counts the dominant component's
+    squarings, or its products with A + POWER_SHIFT * I, a multiple of 4,
+    on the power iteration. hausdorff_dim is the one producer.
     """
 
     beta: float
     dim: float
-    method: str  # dense_squaring | power_iteration | char_poly_root | exact_trivial
+    method: str  # dense_squaring | power_iteration | exact_trivial
     error_bound: float  # bound on |dim - true dim| from the bracket
     dominant_component: frozenset[int]
-    beta_error: float = 0.0
-    scc_count: int | None = None
-    beta_bracket: tuple[tuple[int, int], tuple[int, int]] | None = None
-    iterations: int = 0
+    beta_error: float
+    scc_count: int
+    beta_bracket: tuple[tuple[int, int], tuple[int, int]]
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -390,8 +390,7 @@ def _spectral_full(g: PointedLabeledGraph):
     A vertex's local index is its place in its component's group of the
     _components view. One stable argsort groups the inner edges by
     component, in edge order within each; a strongly connected graph has
-    nothing to group. Lone vertices and bare cycles need no search, and of
-    them only the first with the largest radius can be dominant.
+    nothing to group. Lone vertices and bare cycles need no search.
     """
     label, order, ends = _components(g)
     src, dst, _ = g.edge_arrays()
@@ -408,22 +407,15 @@ def _spectral_full(g: PointedLabeledGraph):
         inner = inner[np.argsort(ls[inner], kind="stable")]
         size, edges = size.tolist(), np.bincount(ls[inner], minlength=count).tolist()
     rows, cols = local[src[inner]], local[dst[inner]]
-    brackets = {}  # component -> (lo_c, hi_c, method, steps), the ends as int pairs
-    trivial = []  # (-radius, component) of each lone vertex and bare cycle
+    lo = hi = top = (-1, 1)  # below every end and every sum lo_c + hi_c
     a = 0
     for c, (k, e) in enumerate(zip(size, edges)):
-        if k == 1 or e == k:
-            # a lone vertex has its loop count as radius, a bare cycle radius 1
-            trivial.append((-(e if k == 1 else 1), c))
+        if k == 1 or e == k:  # a lone vertex has its loop count as radius, a bare cycle 1
+            r = (e if k == 1 else 1, 1)
+            lo_c, hi_c, method_c, steps_c = r, r, "exact_trivial", 0
         else:
-            brackets[c] = _component_bracket(rows[a:a + e], cols[a:a + e], k)
+            lo_c, hi_c, method_c, steps_c = _component_bracket(rows[a:a + e], cols[a:a + e], k)
         a += e
-    if trivial:
-        radius, c = min(trivial)  # the first of largest radius
-        brackets[c] = ((-radius, 1),) * 2 + ("exact_trivial", 0)
-    lo = hi = top = (-1, 1)  # below every end and every sum lo_c + hi_c
-    for c in sorted(brackets):
-        lo_c, hi_c, method_c, steps_c = brackets[c]
         if _exceeds(lo_c, lo):
             lo = lo_c
         if _exceeds(hi_c, hi):
@@ -613,17 +605,3 @@ def largest_root_bracket(coeffs) -> tuple[int, int, int]:
         else:
             lo = mid
     return lo, hi, k
-
-
-def char_poly_dim(g: PointedLabeledGraph) -> DimensionResult:
-    """Dimension via the largest real root of the exact characteristic polynomial.
-
-    That root is the Perron root of a nonnegative matrix. A cross-check path
-    for graphs with at most CHAR_POLY_LIMIT vertices; the error bounds are
-    the width of the exact rational bracket.
-    """
-    lo, hi, k = largest_root_bracket(char_poly(adjacency(g)).coefficients)
-    if hi < 1 << k:
-        raise ValueError("graph has no cycle, so no dimension")
-    return _dimension((lo, 1 << k), (hi, 1 << k), method="char_poly_root",
-                      dominant_component=frozenset())

@@ -152,10 +152,19 @@ def test_build_multi_matches_direct_construction():
 
 
 def test_residue_two_same_in_both_builders():
-    for ms in ([2], [5], [2, 7], [5, 7, 19], [4, 11]):
+    for ms in ([2], [5], [2, 7], [5, 7], [5, 7, 19], [4, 11]):
         a, b = build_multi(ms), build_multi_direct(ms)
         assert (a.start, a.edges) == (b.start, b.edges) == (0, ((0, 0, 0),)), ms
         assert a.provenance == b.provenance, ms
+        # one carry column per multiplier, as in every other graph
+        assert a.vertices == b.vertices == ((0,) * len(ms),), ms
+    assert build_single(5).carries.shape == (1, 1)
+
+
+def test_build_multi_needs_a_multiplier():
+    for build in (build_multi, build_multi_direct):
+        with pytest.raises(ValueError, match="need at least one multiplier"):
+            build([])
 
 
 def test_fold_order_does_not_matter():

@@ -220,6 +220,10 @@ EXPORT_Y_JSON = (
     '"edges":[{"from":0,"to":1,"label":0},{"from":0,"to":1,"label":1},'
     '{"from":1,"to":0,"label":0}],"provenance":"Y"}'
 )
+EXPORT_5_7_JSON = (  # residue 2: the trivial graph, one carry column per multiplier
+    '{"start":0,"vertices":[{"id":0,"carries":[0,0]}],'
+    '"edges":[{"from":0,"to":0,"label":0}],"provenance":"trivial(5,7)"}'
+)
 EXPORT_19_DOT = """\
 digraph presentation {
   rankdir=LR;
@@ -251,6 +255,7 @@ digraph presentation {
     ("7,19", "--json", json.dumps(json.loads(EXPORT_7_19_JSON), indent=2) + "\n"),
     ("19", "--dot", EXPORT_19_DOT),
     ("Y", "--json", json.dumps(json.loads(EXPORT_Y_JSON), indent=2) + "\n"),
+    ("5,7", "--json", json.dumps(json.loads(EXPORT_5_7_JSON), indent=2) + "\n"),
 ])
 def test_export_is_byte_identical(capsys, spec, fmt, want):
     code, out, _ = run(capsys, "export", spec, fmt)
@@ -300,6 +305,14 @@ def test_scan_mixed_specs_and_error_column(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[1][0] == "7,19" and rows[1][7] == ""
     assert rows[2][0] == "847288609444" and "exceeds" in rows[2][7]
+
+
+def test_scan_prints_a_refusal_as_a_row_without_csv(capsys):
+    code, out, _ = run(capsys, "scan", "7", "1000003", "--max-vertices", "10")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("7 vertices=4 ")
+    assert lines[1] == "1000003 error: carry automaton for 1000003 exceeds 10 vertices"
 
 
 def test_scan_raises_what_is_not_a_refusal(capsys, monkeypatch):

@@ -68,6 +68,8 @@ def test_N_eigenvector_exact_small_cases():
     assert len(N_eigenvector(6)) == 64
     with pytest.raises(RefusalError):
         N_eigenvector(25)
+    with pytest.raises(ValueError):
+        N_eigenvector(0)
 
 
 def test_N_eigenvector_is_perron_vector():

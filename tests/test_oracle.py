@@ -267,6 +267,20 @@ def test_return_bound_refusals():
         first_return_counts([7], 0)
 
 
+def test_return_bound_at_the_top_of_the_search():
+    # the multiplier 1 admits every binary word: the bound covers r = 2 and takes it
+    b = return_word_bound([1], 10)
+    assert (b.r_num, b.r_den) == (2_000_000, 1_000_000)
+    assert b.dim == hausdorff_dim(build_single(1)).dim
+
+
+def test_block_counts_reject_bad_arguments():
+    with pytest.raises(ValueError, match="need at least one multiplier"):
+        brute_count([], 3)
+    with pytest.raises(ValueError, match="word length must be nonnegative"):
+        oracle.checked_blocks([7], -1)
+
+
 @settings(max_examples=40)
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=8))
 def test_oracle_matches_automaton_for_random_singles(m, n):

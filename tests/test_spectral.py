@@ -15,7 +15,6 @@ from cantor3 import (
     build_multi,
     build_single,
     char_poly,
-    char_poly_dim,
     count_paths,
     hausdorff_dim,
     scc,
@@ -37,6 +36,12 @@ def _value(coeffs, x):
 def _bracket(r):
     (a, b), (c, d) = r.beta_bracket
     return Fraction(a, b), Fraction(c, d)
+
+
+def _sturm_bracket(g):
+    """Sturm bracket on the largest root of g's characteristic polynomial, as Fractions."""
+    lo, hi, k = largest_root_bracket(char_poly(adjacency(g)).coefficients)
+    return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
 
 
 def _chorded_cycle(k):
@@ -139,14 +144,13 @@ def test_char_poly_vanishes_at_perron_root():
         assert _value(p, lo) * _value(p, hi) <= 0, spec  # a root in [lo, hi], exactly
 
 
-def test_char_poly_dim_agrees_with_power_iteration():
+def test_sturm_root_agrees_with_hausdorff_dim():
     # 112: x^3 times a degree-17 factor with three real roots above 1
     for spec in ([7], [19], [7, 19], [family_value(FamilyId("L", 6))], [112], [256]):
         g = build_multi(spec)
-        r = char_poly_dim(g)
-        assert abs(r.dim - hausdorff_dim(g).dim) <= 1e-9, spec
-        assert r.method == "char_poly_root"
-        assert r.error_bound <= 1e-11
+        lo, hi = _sturm_bracket(g)
+        assert abs(log3(float((lo + hi) / 2)) - hausdorff_dim(g).dim) <= 1e-9, spec
+        assert hi - lo <= Fraction(1, 2**40)
 
 
 def test_largest_root_bracket_is_exact():
@@ -164,11 +168,12 @@ def test_largest_root_bracket_is_exact():
     assert largest_root_bracket((2, -3, 1)) == (32, 32, 4)  # (x-1)(x-2): the root 2 at hi
     with pytest.raises(ValueError):
         largest_root_bracket((1, 0, 1))  # x^2 + 1 has no real root
+    with pytest.raises(ValueError, match="a constant polynomial"):
+        largest_root_bracket((3,))
 
 
-def test_char_poly_dim_is_exact_on_cycles():
-    r = char_poly_dim(build_single(43))  # every component a bare cycle
-    assert r.beta == 1.0 and r.dim == 0.0 and r.error_bound == 0.0
+def test_sturm_root_is_exact_on_cycles():
+    assert _sturm_bracket(build_single(43)) == (1, 1)  # every component a bare cycle
 
 
 def test_growth_rate_matches_dimension():
@@ -226,15 +231,16 @@ def test_rejects_sinks_and_unreachable_vertices(edges, failed):
 def test_error_bound_is_small_and_honest():
     for spec in ([7], [19], [7, 19]):
         g = build_multi(spec)
-        r, c = hausdorff_dim(g), char_poly_dim(g)
+        r = hausdorff_dim(g)
         assert 0.0 <= r.error_bound <= 1e-8
         lo, hi = _bracket(r)
-        c_lo, c_hi = _bracket(c)
+        c_lo, c_hi = _sturm_bracket(g)
         assert lo <= c_hi and c_lo <= hi  # the two exact brackets overlap
         beta, err = Fraction(r.beta), Fraction(r.beta_error)
         assert beta - err <= lo <= hi <= beta + err
-        # both dims are certified within their bounds of the same true dimension
-        assert abs(c.dim - r.dim) <= r.error_bound + c.error_bound
+        # the Sturm midpoint is within 2^-41 of the true beta >= 1, so its log_3
+        # is within 2^-40 of the true dimension, and r.dim within r.error_bound
+        assert abs(log3(float((c_lo + c_hi) / 2)) - r.dim) <= r.error_bound + 2.0**-40
 
 
 @settings(max_examples=40, deadline=None)
@@ -245,7 +251,7 @@ def test_collatz_wielandt_bracket_overlaps_sturm_bracket(ms):
     assume(g.n <= 32)  # char_poly is cubic per step in Python ints
     r = hausdorff_dim(g)
     lo, hi = _bracket(r)
-    c_lo, c_hi = _bracket(char_poly_dim(g))
+    c_lo, c_hi = _sturm_bracket(g)
     assert lo <= c_hi and c_lo <= hi, (ms, r.method)
     assert r.method == "exact_trivial" or hi - lo <= Fraction(1, 10**12)
 
@@ -369,7 +375,8 @@ def test_dimension_on_int_pairs_matches_the_fraction_reference(ends, s, t):
     lo, hi = sorted(ends)
     # unreduced pairs, as _certify returns them
     lo, hi = (lo.numerator * s, lo.denominator * s), (hi.numerator * t, hi.denominator * t)
-    r = spectral._dimension(lo, hi, method="x", dominant_component=frozenset())
+    r = spectral._dimension(lo, hi, method="x", dominant_component=frozenset(), scc_count=1,
+                            iterations=0)
     got = r.beta, r.dim, r.error_bound, r.beta_error
     want = _fraction_dimension(lo, hi)
     assert [x.hex() for x in got] == [x.hex() for x in want[:4]], (lo, hi)

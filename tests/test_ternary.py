@@ -38,6 +38,11 @@ def test_to_ternary_rejects_negative():
         to_ternary(-1)
 
 
+def test_from_ternary_rejects_a_digit_above_2():
+    with pytest.raises(ValueError, match="digit 3 at position 1"):
+        from_ternary((0, 3))
+
+
 def test_normalize_strips_threes():
     m = normalize(63)  # 9 * 7
     assert m.value == 7
@@ -96,7 +101,8 @@ def test_parse_multiplier_forms():
 
 
 def test_parse_multiplier_rejects():
-    for bad in ("", "0", "t:", "t:013x", "x:3", "L:", "L:0", "L:abc", "-4", "3.5", "seven"):
+    for bad in ("", "0", "t:", "t:00", "t:013x", "x:3", "L:", "L:0", "L:abc", "-4", "3.5",
+                "seven"):
         with pytest.raises(ParseError):
             parse_multiplier(bad)
 
