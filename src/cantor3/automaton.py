@@ -27,7 +27,10 @@ The construction is one breadth-first search over carry vectors, level by
 level, with each vertex's children in label order. Levels at least
 NUMPY_LEVEL_WIDTH wide are stepped in numpy, in key order, narrower ones in
 Python, vertex by vertex; both number new carry vectors in order of first
-occurrence, so the vertex order is the same either way.
+occurrence, so the vertex order is the same either way. A numpy level
+finds that order by marking each new key's first table cell, without a
+sort. With one multiplier the key is the carry itself, so the children and
+the carry matrix come straight from the keys, in one dimension.
 """
 
 import json
@@ -54,7 +57,8 @@ NUMPY_LEVEL_WIDTH = 128
 
 # Carry vectors are keyed by one mixed-radix integer. In numpy that key, and
 # every carry plus its multiplier, must stay below 2^62; larger multipliers
-# are stepped in Python ints, the int64/object rule of oracle._count.
+# are stepped in Python ints, the int64/object rule of oracle._count. The
+# numpy steps end their sorted key index with this value, above every key.
 _KEY_LIMIT = 1 << 62
 
 
@@ -251,10 +255,11 @@ class _CarrySearch:
     2^62 the keys are Python ints, and only the Python steps run. Every
     vertex's children come in label order and the new keys of a level are
     numbered in order of first occurrence, in the Python steps (a dict of
-    keys) and the numpy steps (a sorted key array, merged once per level)
-    alike. Both write one store, the table rows and keys in row_chunks and
-    key_chunks, in vertex order, and a side's index is brought up to date
-    from the stored keys when the search switches to it.
+    keys) and the numpy steps (a sorted key array, merged once per level
+    that has new keys) alike. Both write one store, the table rows and
+    keys in row_chunks and key_chunks, in vertex order, and a side's index
+    is brought up to date from the stored keys when the search switches
+    to it.
 
     The Python steps walk a level in breadth-first order. The numpy steps
     hold it in key order, as the sorted new keys of the level before and
@@ -285,12 +290,19 @@ class _CarrySearch:
                 keys, ids = self.key_order(level)
                 while len(keys) >= NUMPY_LEVEL_WIDTH:
                     keys, ids = self.numpy_level(keys, ids)
+                # key_order sorts the index afresh for the next numpy phase
+                self.sorted_keys = self.sorted_ids = None
                 level = self.key_chunks[-1].tolist()
             else:
                 level = self.python_levels(level)
         return _join(self.row_chunks), self.carries(_join(self.key_chunks))
 
     def carries(self, keys: np.ndarray) -> np.ndarray:
+        """The carry vectors of keys, an (n, r) matrix. One numeric
+        multiplier's keys are its carries: the stride is 1 and the base
+        passes every carry."""
+        if self.numeric and len(self.values) == 1:
+            return keys.reshape(-1, 1)
         _, strides, bases = self.radix
         C = keys[:, None] // strides % bases
         return C if self.numeric else _int_array(C.tolist(), len(self.values))
@@ -347,24 +359,42 @@ class _CarrySearch:
 
     def key_order(self, level: list) -> tuple[np.ndarray, np.ndarray]:
         """Sort every key seen into the index of the numpy steps, and put a level
-        from the Python steps in key order: its keys ascending, and the vertex of each."""
+        from the Python steps in key order: its keys ascending, and the vertex of each.
+
+        The index ends in the sentinel key _KEY_LIMIT, above every key, so
+        that searchsorted lands on an entry of it for every key.
+        """
         if not self.key_chunks:  # the numpy steps go first: store the start key
             self.key_chunks.append(np.zeros(1, dtype=np.int64))
         seen = _join(self.key_chunks)
-        self.sorted_ids = np.argsort(seen, kind="stable")
-        self.sorted_keys = seen[self.sorted_ids]
+        order = np.argsort(seen, kind="stable")
+        self.sorted_keys = np.append(seen[order], _KEY_LIMIT)
+        self.sorted_ids = np.append(order, -1)
         keys = np.array(level, dtype=np.int64)
         order = np.argsort(keys)
         return keys[order], order + (self.n - len(keys))
 
     def children(self, keys: np.ndarray, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The children of a level given in key order, ascending, and the
-        table cell of each; cell[i] is the label-0 cell of keys[i]."""
-        values, strides, bases = self.radix
-        C = keys[:, None] // strides % bases
-        rem = C % 3
-        ok0, ok1 = (rem <= 1).all(axis=1), (rem != 1).all(axis=1)
-        kids = np.concatenate(((C[ok0] // 3) @ strides, ((C[ok1] + values) // 3) @ strides))
+        table cell of each; cell[i] is the label-0 cell of keys[i].
+
+        One multiplier's key is its carry N, stepped in 1-D by the
+        arithmetic of kids: with R = N mod 3, label 0 gives (N - R) / 3 =
+        N div 3 where R <= 1 and label 1 gives (N + M - 1 + R / 2) / 3 =
+        (N + M) div 3 where R != 1. Several multipliers decode the key into
+        its carry vector and step each carry.
+        """
+        if len(self.values) == 1:
+            low = keys // 3
+            rem = keys - 3 * low
+            ok0, ok1 = rem <= 1, rem != 1
+            kids = np.concatenate((low[ok0], (keys[ok1] + self.values[0]) // 3))
+        else:
+            values, strides, bases = self.radix
+            C = keys[:, None] // strides % bases
+            rem = C % 3
+            ok0, ok1 = (rem <= 1).all(axis=1), (rem != 1).all(axis=1)
+            kids = np.concatenate(((C[ok0] // 3) @ strides, ((C[ok1] + values) // 3) @ strides))
         # with one multiplier each label's children ascend, and the stable
         # sort only merges the two runs
         order = np.argsort(kids, kind="stable")
@@ -379,14 +409,22 @@ class _CarrySearch:
         level is the last len(keys) vertices, from base = n - len(keys), and
         the edge labeled a out of vertex v is cell 3 * (v - base) + a of
         its table. A fresh key is numbered by its first cell, where a
-        vertex-by-vertex search would meet it first.
+        vertex-by-vertex search would meet it first: the first cells are
+        marked in a bool array over the table, and the count of marks up to
+        a key's first cell is its place among the fresh keys. A level with
+        no fresh key, the last one, leaves the sorted index as it is.
         """
         n, seen, seen_ids = self.n, self.sorted_keys, self.sorted_ids
         kids, cells = self.children(keys, 3 * (ids - (n - len(keys))))
-        pos = np.searchsorted(seen, kids)
-        dst = np.minimum(pos, n - 1)  # a place in seen here, a vertex from the next line
-        fresh_at = np.flatnonzero(seen[dst] != kids)
-        dst = seen_ids[dst]
+        pos = np.searchsorted(seen, kids)  # at most n: the sentinel passes every key
+        fresh_at = np.flatnonzero(seen[pos] != kids)
+        dst = seen_ids[pos]
+        table = np.full((len(keys), 3), -1, dtype=np.int32)
+        self.row_chunks.append(table)
+        if not len(fresh_at):  # as on the last level: nothing to number or merge
+            table.ravel()[cells] = dst
+            self.key_chunks.append(np.zeros(0, dtype=np.int64))
+            return self.key_chunks[-1], fresh_at
         # the fresh keys' copies, ascending, and where each goes in seen
         s, pos = kids[fresh_at], pos[fresh_at]
         head = np.ones(len(s), dtype=bool)
@@ -395,24 +433,28 @@ class _CarrySearch:
         uniq = s[starts]
         if n + len(uniq) > self.max_vertices:
             self.refuse()
-        by_first = np.argsort(np.minimum.reduceat(cells[fresh_at], starts))
-        new_ids = np.empty(len(uniq), dtype=np.int64)
-        new_ids[by_first] = np.arange(n, n + len(uniq))
+        first = np.minimum.reduceat(cells[fresh_at], starts)
+        mark = np.zeros(table.size, dtype=bool)
+        mark[first] = True
+        # the int64 scalar makes the ids int64, as in the index
+        new_ids = np.cumsum(mark, dtype=np.int32)[first] + np.int64(n - 1)
         dst[fresh_at] = new_ids[np.cumsum(head) - 1]
-        table = np.full((len(keys), 3), -1, dtype=np.int32)
         table.ravel()[cells] = dst
-        self.row_chunks.append(table)
-        self.key_chunks.append(uniq[by_first])
+        chunk = np.empty_like(uniq)
+        chunk[new_ids - n] = uniq
+        self.key_chunks.append(chunk)
         at = pos[starts]
-        del kids, cells, dst, fresh_at, s, pos  # before the index is copied: a lower peak
+        # before the index is copied: a lower peak
+        del kids, cells, dst, fresh_at, s, pos, mark, first
         # merge the fresh keys into the sorted index: uniq[i] goes before
-        # seen[at[i]], and seen[j] moves up by the fresh keys before it
-        moved = np.cumsum(np.bincount(at, minlength=n + 1)[:n])
-        moved += np.arange(n)
+        # seen[at[i]], and seen[j], the sentinel too, moves up by the fresh
+        # keys before it
+        moved = np.cumsum(np.bincount(at, minlength=len(seen)))
+        moved += np.arange(len(seen))
         at += np.arange(len(uniq))
-        self.sorted_keys = np.empty(n + len(uniq), dtype=np.int64)
+        self.sorted_keys = np.empty(len(seen) + len(uniq), dtype=np.int64)
         self.sorted_keys[at], self.sorted_keys[moved] = uniq, seen
-        self.sorted_ids = np.empty(n + len(uniq), dtype=np.int64)
+        self.sorted_ids = np.empty(len(seen) + len(uniq), dtype=np.int64)
         self.sorted_ids[at], self.sorted_ids[moved] = new_ids, seen_ids
         self.n = n + len(uniq)
         return uniq, new_ids
@@ -487,21 +529,24 @@ def trim_essential(g: PointedLabeledGraph) -> PointedLabeledGraph:
 
 
 def _prepare(ms) -> list[Multiplier]:
+    """The multipliers normalized, deduplicated and sorted, less the
+    multiplier 1, which is no constraint, unless it is the only one."""
     if not ms:
         raise ValueError("need at least one multiplier")
     out = {}
     for m in ms:
         m = _as_multiplier(m)
         out[m.value] = m
-    return [out[v] for v in sorted(out)]
+    return [out[v] for v in sorted(out) if v != 1] or [out[1]]
 
 
 def build_multi(ms, max_vertices: int = DEFAULT_MAX_VERTICES) -> PointedLabeledGraph:
     """Presentation of the intersection over several multipliers.
 
     Normalizes, deduplicates, and sorts the inputs; the multiplier 1 is no
-    constraint and is dropped. Any residue-2 multiplier collapses the whole
-    intersection to the zero word, and a single multiplier is build_single.
+    constraint and is dropped, so it is in neither the carry vectors nor the
+    provenance. Any residue-2 multiplier collapses the whole intersection to
+    the zero word, and a single multiplier is build_single.
     Otherwise the carry-vector search, trimmed to its essential part. The
     provenance names the intersection as the left fold of label products
     of the single automata, product(product(carry(a), carry(b)), carry(c)):
@@ -512,7 +557,6 @@ def build_multi(ms, max_vertices: int = DEFAULT_MAX_VERTICES) -> PointedLabeledG
     ms = _prepare(ms)
     if any(m.residue == 2 for m in ms):
         return _trivial_graph([m.value for m in ms])
-    ms = [m for m in ms if m.value != 1] or [normalize(1)]
     if len(ms) == 1:
         return build_single(ms[0], max_vertices=max_vertices)
     provenance = f"carry({ms[0].value})"
@@ -534,9 +578,6 @@ def build_multi_direct(ms, max_vertices: int = DEFAULT_MAX_VERTICES) -> PointedL
     ms = _prepare(ms)
     if any(m.residue == 2 for m in ms):
         return _trivial_graph([m.value for m in ms])
-    ms = [m for m in ms if m.value != 1]
-    if not ms:
-        return build_single(normalize(1), max_vertices=max_vertices)
     values = [m.value for m in ms]
     start = (0,) * len(values)
     index = {start: 0}

@@ -688,6 +688,9 @@ SWITCHING_BACK = [([733], 4), ([2**16], 16)]
 @example([3**5 + 1, _L(35)], 1)
 @example([3**5 + 1, _L(36)], 1)
 @example([_L(42)], 1)
+@example([3**7 + 1], 1)  # one multiplier: every level from the start's in numpy
+@example([2**12], 4)
+@example([_L(39)], 1)  # one multiplier with keys near 2^62
 def test_search_matches_direct_construction(ms, width):
     # a narrower gate sends small graphs through the numpy steps too
     with patch.object(automaton, "NUMPY_LEVEL_WIDTH", width), \
@@ -701,6 +704,10 @@ def test_search_matches_direct_construction(ms, width):
     assert (got.vertices, got.edges, got.start) == (want.vertices, want.edges, want.start)
     assert got.delta.dtype == np.int32 and np.array_equal(got.delta, want.delta)
     assert got.carries.dtype == want.carries.dtype
+    if want.carries.shape[1] == 1 and max(ms) < automaton._KEY_LIMIT:
+        # one numeric multiplier: the search's keys are the carries
+        assert got.carries.dtype == np.int64 and got.carries.shape == (got.n, 1)
+        assert got.carries.flags.c_contiguous
 
 
 @settings(max_examples=40, deadline=None)

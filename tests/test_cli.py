@@ -256,6 +256,8 @@ digraph presentation {
     ("19", "--dot", EXPORT_19_DOT),
     ("Y", "--json", json.dumps(json.loads(EXPORT_Y_JSON), indent=2) + "\n"),
     ("5,7", "--json", json.dumps(json.loads(EXPORT_5_7_JSON), indent=2) + "\n"),
+    # the multiplier 1 is no constraint: neither a carry column nor in the provenance
+    ("1,5,7", "--json", json.dumps(json.loads(EXPORT_5_7_JSON), indent=2) + "\n"),
 ])
 def test_export_is_byte_identical(capsys, spec, fmt, want):
     code, out, _ = run(capsys, "export", spec, fmt)
