@@ -30,7 +30,15 @@ Python, vertex by vertex; both number new carry vectors in order of first
 occurrence, so the vertex order is the same either way. A numpy level
 finds that order by marking each new key's first table cell, without a
 sort. With one multiplier the key is the carry itself, so the children and
-the carry matrix come straight from the keys, in one dimension.
+the carry matrix come straight from the keys, in one dimension. The
+narrow levels after a numpy phase look their children up in the sorted
+key index that phase holds, one searchsorted per level.
+
+That vertex order, breadth-first from the start with children in label
+order and each vertex at its first occurrence, is every builder's, and it
+is canonical: two presentations are pointed-isomorphic exactly when their
+label tables in that order are equal (canonical_delta, which
+langops.pointed_isomorphic compares).
 """
 
 import json
@@ -49,7 +57,8 @@ DEFAULT_MAX_VERTICES = 2_000_000
 
 # Levels of the carry search at least this wide are stepped in numpy, in
 # key order against a sorted array of the carry vectors seen so far;
-# narrower levels run a per-vertex Python loop over a dict. A numpy level
+# narrower levels run a per-vertex Python loop, over a dict before the
+# first numpy phase and over that sorted array after it. A numpy level
 # pays a fixed cost in numpy calls, so it loses on narrow levels; the value
 # is the crossover measured for an earlier, costlier numpy step, see README
 # "Construction".
@@ -102,6 +111,23 @@ def reach(g: "PointedLabeledGraph", v: int, edges, limit: float = math.inf) -> n
     return seen
 
 
+def canonical_order(g: "PointedLabeledGraph") -> np.ndarray:
+    """The vertices reached from the start in canonical order: breadth-first,
+    each vertex's children in label order, each vertex where it first occurs.
+    A level search: a level's children come out of delta row by row, in
+    that order, and np.unique finds the first copy of each new one."""
+    seen = np.zeros(g.n, dtype=bool)
+    seen[g.start] = True
+    levels = [np.array([g.start])]
+    while len(levels[-1]):
+        w = g.out_edges(levels[-1])
+        w = w[~seen[w]]
+        _, first = np.unique(w, return_index=True)
+        levels.append(w[np.sort(first)])
+        seen[levels[-1]] = True
+    return np.concatenate(levels)
+
+
 class PointedLabeledGraph:
     """Immutable pointed presentation, right-resolving by construction.
 
@@ -122,9 +148,18 @@ class PointedLabeledGraph:
     and know that from their own breadth-first order. Whether every vertex
     has an edge out is known from construction too, or looked up once by
     validate.
+
+    The vertex order is canonical when it is the breadth-first order from
+    the start, each vertex's children in label order and each vertex at its
+    first occurrence: then the start is 0, and the label table depends only
+    on the pointed labeled graph, not on how its vertices were listed.
+    Every builder numbers its vertices that way, so _make records it; a
+    graph from the checked constructor is renumbered once, on first read
+    of canonical_delta.
     """
 
-    __slots__ = ("delta", "carries", "start", "provenance", "_reachable", "_essential", "_views")
+    __slots__ = ("delta", "carries", "start", "provenance", "_reachable", "_essential",
+                 "_canonical", "_views")
 
     def __init__(self, vertices, edges, start, provenance=""):
         rows = [tuple(v) for v in vertices]
@@ -143,23 +178,26 @@ class PointedLabeledGraph:
                                  " a presentation must be right-resolving")
             table[s][a] = d
         self._fill(np.array(table, dtype=np.int32), _int_array(rows, len(rows[0])),
-                   int(start), provenance, None)
+                   int(start), provenance, None, None)
         self._reachable = bool(reach(self, self.start, self.out_edges).all())
 
-    def _fill(self, delta, carries, start, provenance, essential):
+    def _fill(self, delta, carries, start, provenance, essential, canonical):
         self.delta, self.carries, self.start, self.provenance = delta, carries, start, provenance
-        self._reachable, self._essential, self._views = True, essential, {}
+        self._reachable, self._essential, self._canonical = True, essential, canonical
+        self._views = {}
 
     @classmethod
     def _make(cls, delta: np.ndarray, carries: np.ndarray, start: int, provenance: str,
-              essential: bool | None = None) -> "PointedLabeledGraph":
+              essential: bool | None = None,
+              canonical: bool | None = True) -> "PointedLabeledGraph":
         """A builder's own tables, unchecked, every vertex reachable from the start.
 
         essential is True when the builder knows it, None when validate
-        should look.
+        should look; canonical is True when the builder numbered the
+        vertices in canonical order, None when canonical_delta should look.
         """
         g = cls.__new__(cls)
-        g._fill(delta, carries, start, provenance, essential)
+        g._fill(delta, carries, start, provenance, essential, canonical)
         return g
 
     def _view(self, name: str, make):
@@ -208,6 +246,25 @@ class PointedLabeledGraph:
 
         return gather(*self._view("reverse", make), vs)
 
+    @property
+    def canonical_delta(self) -> np.ndarray:
+        """The label table with the vertices renumbered in canonical order,
+        start 0; delta itself when the order is canonical already. Defined
+        for reachable graphs."""
+        if self._canonical:
+            return self.delta
+        return self._view("canonical", self._renumbered)
+
+    def _renumbered(self) -> np.ndarray:
+        order = canonical_order(self)
+        self._canonical = bool(np.array_equal(order, np.arange(self.n)))
+        if self._canonical:
+            return self.delta
+        renum = np.full(self.n, -1, dtype=np.int32)
+        renum[order] = np.arange(len(order), dtype=np.int32)
+        rows = self.delta[order]
+        return np.where(rows >= 0, renum[rows], -1).astype(np.int32)
+
     def reachable_set(self) -> set[int]:
         """Vertices reachable from the start, the set of reach's mask."""
         return set(np.flatnonzero(reach(self, self.start, self.out_edges)).tolist())
@@ -254,18 +311,20 @@ class _CarrySearch:
     one multiplier. Where a key or a carry plus its multiplier could pass
     2^62 the keys are Python ints, and only the Python steps run. Every
     vertex's children come in label order and the new keys of a level are
-    numbered in order of first occurrence, in the Python steps (a dict of
-    keys) and the numpy steps (a sorted key array, merged once per level
-    that has new keys) alike. Both write one store, the table rows and
-    keys in row_chunks and key_chunks, in vertex order, and a side's index
-    is brought up to date from the stored keys when the search switches
-    to it.
+    numbered in order of first occurrence, in the Python steps and the
+    numpy steps alike. All write one store, the table rows and keys in
+    row_chunks and key_chunks, in vertex order.
 
-    The Python steps walk a level in breadth-first order. The numpy steps
-    hold it in key order, as the sorted new keys of the level before and
-    the vertex of each, and look up its children in key order; a level
-    handed over by the Python steps is sorted once, and one handed back is
-    the last key chunk.
+    The search has three kinds of step. python_levels steps the narrow
+    levels from the start's, over a dict of keys. The numpy steps hold a
+    level in key order, as the sorted new keys of the level before and
+    the vertex of each, and look up its children in a sorted key index,
+    merged once per level that has new keys; key_order sorts every stored
+    key into that index, and a level handed over, when a phase begins.
+    tail_levels steps the narrow levels after a numpy phase in
+    breadth-first order, looking each level's children up in that index
+    and its own keys in a small dict, and lets the index go when it ends;
+    it hands a wide level back as the last key chunk.
     """
 
     def __init__(self, values, max_vertices, what):
@@ -278,7 +337,6 @@ class _CarrySearch:
         self.lift = sum((M - 1) * s for M, s in zip(values, self.strides))  # key of (M_j - 1)
         self.n = 1
         self.row_chunks, self.key_chunks = [], []  # the table and the keys, in vertex order
-        self.index = {0: 0}  # key -> vertex, for the Python steps
 
     def refuse(self):
         raise RefusalError(f"carry automaton for {self.what} exceeds {self.max_vertices} vertices")
@@ -290,9 +348,7 @@ class _CarrySearch:
                 keys, ids = self.key_order(level)
                 while len(keys) >= NUMPY_LEVEL_WIDTH:
                     keys, ids = self.numpy_level(keys, ids)
-                # key_order sorts the index afresh for the next numpy phase
-                self.sorted_keys = self.sorted_ids = None
-                level = self.key_chunks[-1].tolist()
+                level = self.tail_levels(self.key_chunks[-1].tolist())
             else:
                 level = self.python_levels(level)
         return _join(self.row_chunks), self.carries(_join(self.key_chunks))
@@ -304,19 +360,17 @@ class _CarrySearch:
         if self.numeric and len(self.values) == 1:
             return keys.reshape(-1, 1)
         _, strides, bases = self.radix
-        C = keys[:, None] // strides % bases
+        C = keys[:, None] // strides
+        C %= bases  # in place: one (n, r) array at a time
         return C if self.numeric else _int_array(C.tolist(), len(self.values))
 
     def python_levels(self, level: list) -> list:
-        """Step levels narrower than NUMPY_LEVEL_WIDTH; return the first wider one, or []."""
-        done = len(self.index)
-        if done < self.n:  # after a numpy phase
-            self.index.update(zip(_join(self.key_chunks)[done:].tolist(), range(done, self.n)))
-        index, rows, cap = self.index, [], self.max_vertices
+        """Step levels narrower than NUMPY_LEVEL_WIDTH from the start's; return
+        the first wider one, or []. Only the first phase of a search runs here."""
+        index, rows, cap = {0: 0}, [], self.max_vertices
         width = NUMPY_LEVEL_WIDTH if self.numeric else math.inf
         M = self.values[0] if len(self.values) == 1 else None
         queue, end = level, len(level)  # the current level ends at queue[end]
-        fresh = end if self.key_chunks else 0  # the first phase to step the start stores it
         for i, key in enumerate(queue):  # the BFS queue: appended to while it is walked
             if i == end:
                 if len(queue) - end >= width:
@@ -343,8 +397,53 @@ class _CarrySearch:
             end = len(queue)
         self.n = len(index)
         self.row_chunks.append(np.array(rows, dtype=np.int32).reshape(-1, 3))
-        self.key_chunks.append(np.array(queue[fresh:], dtype=np.int64 if self.numeric else object))
+        self.key_chunks.append(np.array(queue, dtype=np.int64 if self.numeric else object))
         return queue[end:]
+
+    def tail_levels(self, level: list) -> list:
+        """Step the levels narrower than NUMPY_LEVEL_WIDTH that follow a numpy
+        phase, `level` first; return the first wider one, or [].
+
+        A level's children, vertex by vertex in label order, are looked up
+        in the numpy phase's sorted index by one searchsorted, and those not
+        there in a dict of the keys the tail numbered; a key in neither is
+        numbered next. The index is let go when the tail ends.
+        """
+        seen, seen_ids, n, cap = self.sorted_keys, self.sorted_ids, self.n, self.max_vertices
+        self.sorted_keys = self.sorted_ids = None
+        M = self.values[0] if len(self.values) == 1 else None
+        fresh = {-1: -1}  # the keys numbered here, and -1, no edge
+        queue, rows = level, []  # two cells a vertex, labels 0 and 1
+        begin = 0
+        end = done = len(queue)  # the current level is queue[begin:end]
+        while 0 < end - begin < NUMPY_LEVEL_WIDTH:
+            kids = []
+            for key in queue[begin:end]:
+                if M is not None:
+                    m = key % 3
+                    kids += (key // 3 if m <= 1 else -1, (key + M) // 3 if m != 1 else -1)
+                else:
+                    kids += [-1 if c is None else c for c in self.kids(key)]
+            # the method, not np.searchsorted: its dispatch costs about 0.5 us a level
+            pos = seen.searchsorted(np.array(kids, dtype=np.int64))  # -1 lands on key 0
+            for c, k, d in zip(kids, seen[pos].tolist(), seen_ids[pos].tolist()):
+                if c != k:  # not in the index
+                    d = fresh.get(c)
+                    if d is None:
+                        if n >= cap:
+                            self.refuse()
+                        d = fresh[c] = n
+                        n += 1
+                        queue.append(c)
+                rows.append(d)
+            begin, end = end, len(queue)
+        if rows:
+            table = np.full((len(rows) // 2, 3), -1, dtype=np.int32)
+            table[:, :2] = np.reshape(rows, (-1, 2))
+            self.row_chunks.append(table)
+            self.key_chunks.append(np.array(queue[done:], dtype=np.int64))
+            self.n = n
+        return queue[begin:end]
 
     def kids(self, key) -> tuple:
         """The keys reached from carry vector `key` by labels 0 and 1, None where not admissible.
@@ -494,7 +593,9 @@ def trim_essential(g: PointedLabeledGraph) -> PointedLabeledGraph:
     set. The start vertex is never dropped (in carry graphs it always loops
     on digit 0). The sinks are peeled in rounds over a reverse CSR of
     delta. Vertex order is kept, and the input object is returned
-    unchanged when nothing is cut.
+    unchanged when nothing is cut. A canonical order stays canonical: a
+    vertex with an edge to a survivor survives, so each survivor's first
+    breadth-first path runs through survivors.
 
     A survivor of the peel that is reachable from the start is reachable
     through survivors: each vertex on a path from the start to it has a
@@ -525,7 +626,7 @@ def trim_essential(g: PointedLabeledGraph) -> PointedLabeledGraph:
     # every survivor but the start has an edge to a survivor
     return PointedLabeledGraph._make(np.where(rows >= 0, renum[rows], -1).astype(np.int32),
                                      g.carries[keep], int(renum[g.start]), g.provenance,
-                                     bool(outdeg[g.start]))
+                                     bool(outdeg[g.start]), g._canonical or None)
 
 
 def _prepare(ms) -> list[Multiplier]:

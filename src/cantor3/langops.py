@@ -5,9 +5,15 @@ containment of the infinite-path label sets is the same as containment of
 the prefix languages, and that is decidable by a synchronized search over
 state pairs. The essential requirement is not decorative: with sinks on
 either side the reduction is unsound, so untrimmed inputs are rejected.
+
+Pointed isomorphism needs no search: in the canonical vertex order
+(automaton.canonical_order) two reachable right-resolving graphs are
+pointed-isomorphic exactly when their label tables are equal.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .automaton import PointedLabeledGraph, validate
 
@@ -54,11 +60,12 @@ def is_subset(g1: PointedLabeledGraph, g2: PointedLabeledGraph) -> ComparisonRes
 
 
 def _rows(g: PointedLabeledGraph):
-    """v -> g.delta[v] as a list, converted on first use: a search may read few rows."""
-    delta, cache = g.delta, [None] * g.n
+    """v -> g.delta[v] as a list, converted on first use and kept in a dict:
+    a search may read few rows of a large graph."""
+    delta, cache = g.delta, {}
 
     def row(v: int) -> list:
-        r = cache[v]
+        r = cache.get(v)
         if r is None:
             r = cache[v] = delta[v].tolist()
         return r
@@ -69,33 +76,14 @@ def _rows(g: PointedLabeledGraph):
 def pointed_isomorphic(g1: PointedLabeledGraph, g2: PointedLabeledGraph) -> bool:
     """Label-preserving vertex bijection taking start to start?
 
-    In a reachable right-resolving graph the candidate map is forced edge by
-    edge from the start pair, so one pass checks both consistency and
-    bijectivity. Carry labels play no part: they are construction artifacts.
+    In a reachable right-resolving graph such a map is forced edge by edge
+    from the start pair, so it takes the canonical order of g1 (breadth
+    first from the start, children in label order) to that of g2: the two
+    are pointed-isomorphic exactly when their canonical label tables are
+    equal. Builder graphs are in canonical order as built; a graph from the
+    checked constructor is renumbered once. Carry labels play no part: they
+    are construction artifacts.
     """
     validate(g1).require("left graph")
     validate(g2).require("right graph")
-    n = g1.n
-    if n != g2.n:
-        return False
-    rows1, rows2 = g1.delta.tolist(), g2.delta.tolist()
-    mapping, inverse = [-1] * n, [-1] * n
-    mapping[g1.start], inverse[g2.start] = g2.start, g1.start
-    queue = [g1.start]
-    for u1 in queue:  # the BFS queue: appended to while it is walked
-        for w1, w2 in zip(rows1[u1], rows2[mapping[u1]]):
-            if (w1 < 0) != (w2 < 0):
-                return False  # the two vertices read different labels
-            if w1 < 0:
-                continue
-            m = mapping[w1]
-            if m >= 0:
-                if m != w2:
-                    return False
-            elif inverse[w2] >= 0:
-                return False  # two vertices of g1 would land on w2
-            else:
-                mapping[w1] = w2
-                inverse[w2] = w1
-                queue.append(w1)
-    return len(queue) == n
+    return np.array_equal(g1.canonical_delta, g2.canonical_delta)

@@ -32,12 +32,14 @@ from cantor3 import (
     validate,
 )
 from cantor3.automaton import (
+    DEFAULT_MAX_VERTICES,
     LIMB_KERNEL_EDGES,
     NUMPY_LEVEL_WIDTH,
     _count_paths_limbs,
     _count_paths_loop,
     _exact_dot,
     _limb_steps,
+    canonical_order,
     to_json_dict,
     vertex_name,
 )
@@ -611,6 +613,50 @@ def test_checked_constructor_reproduces_builder_tables(ms):
     _assert_round_trips(Y_graph())
 
 
+def _bfs_order(g):
+    """The canonical order from scratch: a queue-driven breadth-first search
+    over delta's rows, children in label order, each vertex where it first
+    occurs."""
+    rows = g.delta.tolist()
+    order, seen = [g.start], {g.start}
+    for v in order:  # the BFS queue: appended to while it is walked
+        for w in rows[v]:
+            if w >= 0 and w not in seen:
+                seen.add(w)
+                order.append(w)
+    return order
+
+
+# multipliers of residue 1 and 2, the multiplier 1, and some spelled 3M or 9M
+_SPELLED = st.tuples(st.one_of(st.just(1), st.integers(min_value=1, max_value=3**5)),
+                     st.integers(min_value=0, max_value=2)).map(lambda t: t[0] * 3**t[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_SPELLED, min_size=1, max_size=3))
+@example([7, 7, 21])  # duplicates and a 3M spelling of one multiplier
+@example([1, 5, 7])  # the multiplier 1 and residue 2
+@example([1])
+@example([4, 256])
+@example([2**20])  # a narrow tail after a numpy phase
+def test_builders_number_vertices_in_canonical_order(ms):
+    graphs = [build_multi(ms), build_multi_direct(ms), Y_graph()]
+    graphs += [trim_essential(build_single(m)) for m in ms]
+    values = [m.value for m in automaton._prepare(ms)]
+    if all(v % 3 == 1 for v in values):
+        # the untrimmed carry automaton, and its trim
+        carry = automaton._carry_graph(values, DEFAULT_MAX_VERTICES, "carry")
+        graphs += [carry, trim_essential(carry)]
+    for g in graphs:
+        assert g._canonical is True and g.start == 0
+        assert canonical_order(g).tolist() == _bfs_order(g) == list(range(g.n))
+        assert g.canonical_delta is g.delta
+        # the checked constructor does not know the order until it renumbers
+        h = PointedLabeledGraph(g.vertices, g.edges, g.start)
+        assert h._canonical is None
+        assert h.canonical_delta is h.delta and h._canonical is True
+
+
 def test_max_vertices_refusal():
     with pytest.raises(RefusalError):
         build_single(7, max_vertices=3)
@@ -655,6 +701,25 @@ PINNED_GRAPHS = {
 }
 
 
+def test_refusal_inside_the_narrow_tail(monkeypatch):
+    # 2^20's last numpy level hands 137 keys to a tail of narrow levels that
+    # numbers the last vertices itself; a cap one short of the graph is met there
+    entered = []
+    tail = automaton._CarrySearch.tail_levels
+
+    def spy(search, level):
+        entered.append((search.n, len(level)))
+        return tail(search, level)
+
+    monkeypatch.setattr(automaton._CarrySearch, "tail_levels", spy)
+    n = build_single(2**20).n
+    entered.clear()
+    with pytest.raises(RefusalError) as info:
+        build_single(2**20, max_vertices=n - 1)
+    assert str(info.value) == f"carry automaton for {2**20} exceeds {n - 1} vertices"
+    assert len(entered) == 1 and entered[0][0] < n - 1 and entered[0][1] > 0
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_GRAPHS))
 def test_search_reproduces_pinned_graphs(name):
     ms, digest = PINNED_GRAPHS[name]
@@ -674,6 +739,10 @@ NEAR_THE_KEY_BOUND = [_L(39), _L(40), _L(41), _L(42), 3**5 + 1, _L(35), _L(36)]
 # searches that enter the numpy steps more than once at these gates
 SWITCHING_BACK = [([733], 4), ([2**16], 16)]
 
+# searches whose last numpy level hands narrow levels to the tail
+NARROW_TAIL = [([2**18], NUMPY_LEVEL_WIDTH), ([2**20], NUMPY_LEVEL_WIDTH),
+               ([1000003], NUMPY_LEVEL_WIDTH), ([2**24, 2**26], NUMPY_LEVEL_WIDTH)]
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.one_of(_residue_1(3**6), st.sampled_from(NEAR_THE_KEY_BOUND)),
@@ -682,6 +751,8 @@ SWITCHING_BACK = [([733], 4), ([2**16], 16)]
 @example([3**8 + 1], NUMPY_LEVEL_WIDTH)  # one level of 128, one of 256
 @example([2**18], NUMPY_LEVEL_WIDTH)  # numpy in the middle, Python before and after
 @example([2**24, 2**26], NUMPY_LEVEL_WIDTH)  # two multipliers: children out of key order
+@example([2**20], NUMPY_LEVEL_WIDTH)  # a narrow tail of 313 vertices after a numpy phase
+@example([1000003], NUMPY_LEVEL_WIDTH)  # a narrow tail after a numpy phase
 @example([733], 4)  # Python -> numpy three times
 @example([2**16], 16)  # Python -> numpy twice
 @example([4, 256], 1)
@@ -695,11 +766,15 @@ def test_search_matches_direct_construction(ms, width):
     # a narrower gate sends small graphs through the numpy steps too
     with patch.object(automaton, "NUMPY_LEVEL_WIDTH", width), \
             patch.object(automaton._CarrySearch, "key_order", autospec=True,
-                         side_effect=automaton._CarrySearch.key_order) as numpy_phases:
+                         side_effect=automaton._CarrySearch.key_order) as numpy_phases, \
+            patch.object(automaton._CarrySearch, "tail_levels", autospec=True,
+                         side_effect=automaton._CarrySearch.tail_levels) as tails:
         got = build_multi(ms)
     if (ms, width) in SWITCHING_BACK:
-        # both indexes are rebuilt on a switch back, and the graph still matches
+        # the sorted index is rebuilt on a switch back, and the graph still matches
         assert numpy_phases.call_count >= 2
+    if (ms, width) in NARROW_TAIL:
+        assert any(call.args[1] for call in tails.call_args_list)
     want = build_multi_direct(ms)
     assert (got.vertices, got.edges, got.start) == (want.vertices, want.edges, want.start)
     assert got.delta.dtype == np.int32 and np.array_equal(got.delta, want.delta)

@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cantor3 import (
     PointedLabeledGraph,
@@ -8,7 +10,59 @@ from cantor3 import (
     build_single,
     is_subset,
     pointed_isomorphic,
+    trim_essential,
+    validate,
 )
+
+
+def forced_map_isomorphic(g1, g2):
+    """Pointed isomorphism by the forced map, the cross-check for the
+    canonical tables: in a reachable right-resolving graph the map is forced
+    edge by edge from the start pair, so one pass checks both consistency
+    and bijectivity."""
+    n = g1.n
+    if n != g2.n:
+        return False
+    rows1, rows2 = g1.delta.tolist(), g2.delta.tolist()
+    mapping, inverse = [-1] * n, [-1] * n
+    mapping[g1.start], inverse[g2.start] = g2.start, g1.start
+    queue = [g1.start]
+    for u1 in queue:  # the BFS queue: appended to while it is walked
+        for w1, w2 in zip(rows1[u1], rows2[mapping[u1]]):
+            if (w1 < 0) != (w2 < 0):
+                return False  # the two vertices read different labels
+            if w1 < 0:
+                continue
+            m = mapping[w1]
+            if m >= 0:
+                if m != w2:
+                    return False
+            elif inverse[w2] >= 0:
+                return False  # two vertices of g1 would land on w2
+            else:
+                mapping[w1] = w2
+                inverse[w2] = w1
+                queue.append(w1)
+    return len(queue) == n
+
+
+def _permuted(g, perm):
+    """g through the checked constructor, vertex v renamed perm[v]."""
+    inverse = np.argsort(perm).tolist()
+    return PointedLabeledGraph([g.vertices[v] for v in inverse],
+                               [(perm[s], perm[d], a) for s, d, a in g.edges], perm[g.start])
+
+
+@st.composite
+def _small_graphs(draw):
+    """A small right-resolving graph with any start, through the checked
+    constructor, trimmed: reachable, and essential unless its start is a sink."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    cell = st.integers(min_value=-1, max_value=n - 1)
+    rows = draw(st.lists(st.lists(cell, min_size=3, max_size=3), min_size=n, max_size=n))
+    edges = [(v, d, a) for v, row in enumerate(rows) for a, d in enumerate(row) if d >= 0]
+    return trim_essential(PointedLabeledGraph([(v,) for v in range(n)], edges,
+                                              draw(st.integers(min_value=0, max_value=n - 1))))
 
 
 def test_subset_along_intersection():
@@ -75,11 +129,57 @@ def test_pointed_isomorphic_cases():
     assert not pointed_isomorphic(g, build_single(4))
 
 
+# isomorphic builder pairs: a 3M spelling, a multiplier that absorbs
+# another, and the words workload's 2^20 against 3 * 2^20
+_SAME = [([7], [21]), ([7, 63], [7]), ([4, 13], [13]), ([2**20], [3 * 2**20])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=3**5), min_size=1, max_size=2),
+       st.lists(st.integers(min_value=1, max_value=3**5), min_size=1, max_size=2),
+       st.randoms(use_true_random=False))
+@example([7], [19], None)
+@example(*_SAME[0], None)
+@example(*_SAME[1], None)
+@example(*_SAME[2], None)
+@example(*_SAME[3], None)
+def test_canonical_tables_agree_with_the_forced_map(left, right, rnd):
+    g1, g2 = build_multi(left), build_multi(right)
+    want = forced_map_isomorphic(g1, g2)
+    assert pointed_isomorphic(g1, g2) == want
+    if (left, right) in _SAME:
+        assert want
+    if rnd is None:
+        return
+    # a random renumbering through the checked constructor is the same graph
+    for g, other in ((g1, g2), (g2, g1)):
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        h = _permuted(g, perm)
+        assert pointed_isomorphic(g, h) and forced_map_isomorphic(g, h)
+        assert np.array_equal(h.canonical_delta, g.delta)
+        assert h._canonical == (perm == sorted(perm))
+        assert pointed_isomorphic(h, other) == forced_map_isomorphic(h, other) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_graphs(), _small_graphs(), st.randoms(use_true_random=False))
+def test_canonical_tables_agree_with_the_forced_map_on_small_graphs(g1, g2, rnd):
+    # any start, label 2 and vertices listed in any order
+    assume(validate(g1).essential and validate(g2).essential)
+    assert pointed_isomorphic(g1, g2) == forced_map_isomorphic(g1, g2)
+    perm = list(range(g1.n))
+    rnd.shuffle(perm)
+    h = _permuted(g1, perm)
+    assert pointed_isomorphic(g1, h) and forced_map_isomorphic(g1, h)
+    assert pointed_isomorphic(h, g2) == forced_map_isomorphic(h, g2)
+
+
 def _graph(n, edges):
     return PointedLabeledGraph(vertices=[(v,) for v in range(n)], edges=edges, start=0)
 
 
-# (n, edges) pairs, each rejected by a different test of the mapping search:
+# (n, edges) pairs, each rejected by a different test of the forced map:
 # the matched vertices read different labels; the left graph sends both
 # labels of the start to one vertex and the right to two; the same swapped
 _READS_OTHER_LABELS = ((2, ((0, 0, 0), (0, 1, 1), (1, 0, 0))),
@@ -91,7 +191,8 @@ _MERGES = ((3, ((0, 1, 0), (0, 1, 1), (1, 2, 0), (2, 0, 0))),
 @pytest.mark.parametrize("left, right", [_READS_OTHER_LABELS, _MERGES, _MERGES[::-1]],
                          ids=["labels", "merges", "splits"])
 def test_pointed_isomorphic_rejections(left, right):
-    assert not pointed_isomorphic(_graph(*left), _graph(*right))
+    g1, g2 = _graph(*left), _graph(*right)
+    assert not pointed_isomorphic(g1, g2) and not forced_map_isomorphic(g1, g2)
 
 
 def test_isomorphic_implies_equal():
