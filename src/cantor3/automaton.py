@@ -332,11 +332,15 @@ class _CarrySearch:
         self.bases = [1 + M // 2 for M in values]
         self.strides = [prod(self.bases[:j]) for j in range(len(values))]
         self.numeric = prod(self.bases) < _KEY_LIMIT and max(values) < _KEY_LIMIT
-        dtype = np.int64 if self.numeric else object
-        self.radix = [np.array(x, dtype=dtype) for x in (values, self.strides, self.bases)]
         self.lift = sum((M - 1) * s for M, s in zip(values, self.strides))  # key of (M_j - 1)
         self.n = 1
         self.row_chunks, self.key_chunks = [], []  # the table and the keys, in vertex order
+
+    def radix(self) -> list[np.ndarray]:
+        """values, strides and bases as arrays, made where several
+        multipliers' keys are decoded: one multiplier needs none."""
+        dtype = np.int64 if self.numeric else object
+        return [np.array(x, dtype=dtype) for x in (self.values, self.strides, self.bases)]
 
     def refuse(self):
         raise RefusalError(f"carry automaton for {self.what} exceeds {self.max_vertices} vertices")
@@ -359,7 +363,7 @@ class _CarrySearch:
         passes every carry."""
         if self.numeric and len(self.values) == 1:
             return keys.reshape(-1, 1)
-        _, strides, bases = self.radix
+        _, strides, bases = self.radix()
         C = keys[:, None] // strides
         C %= bases  # in place: one (n, r) array at a time
         return C if self.numeric else _int_array(C.tolist(), len(self.values))
@@ -367,7 +371,7 @@ class _CarrySearch:
     def python_levels(self, level: list) -> list:
         """Step levels narrower than NUMPY_LEVEL_WIDTH from the start's; return
         the first wider one, or []. Only the first phase of a search runs here."""
-        index, rows, cap = {0: 0}, [], self.max_vertices
+        index, rows, cap, n = {0: 0}, [], self.max_vertices, 1
         width = NUMPY_LEVEL_WIDTH if self.numeric else math.inf
         M = self.values[0] if len(self.values) == 1 else None
         queue, end = level, len(level)  # the current level ends at queue[end]
@@ -387,15 +391,16 @@ class _CarrySearch:
                     continue
                 d = index.get(c)
                 if d is None:
-                    if len(index) >= cap:
+                    if n >= cap:
                         self.refuse()
-                    d = index[c] = len(index)
+                    d = index[c] = n
+                    n += 1
                     queue.append(c)
                 rows.append(d)
             rows.append(-1)  # no carry construction reads label 2
         else:
             end = len(queue)
-        self.n = len(index)
+        self.n = n
         self.row_chunks.append(np.array(rows, dtype=np.int32).reshape(-1, 3))
         self.key_chunks.append(np.array(queue, dtype=np.int64 if self.numeric else object))
         return queue[end:]
@@ -480,22 +485,23 @@ class _CarrySearch:
         One multiplier's key is its carry N, stepped in 1-D by the
         arithmetic of kids: with R = N mod 3, label 0 gives (N - R) / 3 =
         N div 3 where R <= 1 and label 1 gives (N + M - 1 + R / 2) / 3 =
-        (N + M) div 3 where R != 1. Several multipliers decode the key into
-        its carry vector and step each carry.
+        (N + M) div 3 where R != 1. Each label's children ascend with N,
+        and with N <= M div 2 every label-0 child is at most M div 6, below
+        every label-1 child, at least M div 3: the label-0 run followed by
+        the label-1 run is in key order already. Several multipliers decode
+        the key into its carry vector, step each carry, and sort.
         """
         if len(self.values) == 1:
             low = keys // 3
             rem = keys - 3 * low
             ok0, ok1 = rem <= 1, rem != 1
-            kids = np.concatenate((low[ok0], (keys[ok1] + self.values[0]) // 3))
-        else:
-            values, strides, bases = self.radix
-            C = keys[:, None] // strides % bases
-            rem = C % 3
-            ok0, ok1 = (rem <= 1).all(axis=1), (rem != 1).all(axis=1)
-            kids = np.concatenate(((C[ok0] // 3) @ strides, ((C[ok1] + values) // 3) @ strides))
-        # with one multiplier each label's children ascend, and the stable
-        # sort only merges the two runs
+            return (np.concatenate((low[ok0], (keys[ok1] + self.values[0]) // 3)),
+                    np.concatenate((cell[ok0], cell[ok1] + 1)))
+        values, strides, bases = self.radix()
+        C = keys[:, None] // strides % bases
+        rem = C % 3
+        ok0, ok1 = (rem <= 1).all(axis=1), (rem != 1).all(axis=1)
+        kids = np.concatenate(((C[ok0] // 3) @ strides, ((C[ok1] + values) // 3) @ strides))
         order = np.argsort(kids, kind="stable")
         return kids[order], np.concatenate((cell[ok0], cell[ok1] + 1))[order]
 

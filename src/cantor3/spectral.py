@@ -166,35 +166,39 @@ def _tarjan(rows: list[list[int]]):
     index, so it lowers no low-link and no on-stack flag is needed (Pearce,
     "A space-efficient algorithm for finding strongly connected components",
     IPL 2016). A -1 cell reads index[n] = n, just as inert, and is skipped.
+    The vertex being searched, its row iterator and its low-link are
+    locals; those of the vertices above it on the search path wait in
+    three parallel lists, so a low-link is kept only while its vertex is
+    on the path.
     """
     n = len(rows)
     index = [-1] * n + [n]
-    low = [0] * n
     stack, order, ends = [], [], []
+    path, rests, lows = [], [], []  # the search path above v
     counter, done = 0, n + 1
     for root in range(n):
         if index[root] >= 0:
             continue
-        index[root] = low[root] = counter
+        index[root] = low = counter
         counter += 1
         stack.append(root)
-        work = [(root, iter(rows[root]))]
-        while work:
-            v, rest = work[-1]
+        v, rest = root, iter(rows[root])
+        while True:
             for w in rest:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
+                i = index[w]
+                if i < 0:
+                    path.append(v)
+                    rests.append(rest)
+                    lows.append(low)
+                    index[w] = low = counter
                     counter += 1
                     stack.append(w)
-                    work.append((w, iter(rows[w])))
+                    v, rest = w, iter(rows[w])
                     break
-                if index[w] < low[v]:
-                    low[v] = index[w]
+                if i < low:
+                    low = i
             else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
+                if low == index[v]:
                     while True:
                         w = stack.pop()
                         index[w] = done
@@ -203,6 +207,11 @@ def _tarjan(rows: list[list[int]]):
                             break
                     done += 1
                     ends.append(len(order))
+                if not path:
+                    break
+                v, rest, up = path.pop(), rests.pop(), lows.pop()
+                if up < low:  # back at the parent: the lower of its low-link and the child's
+                    low = up
     # strongly connected: np.zeros is the faster way to label every vertex 0
     label = np.zeros(n, dtype=np.intp) if len(ends) == 1 else np.array(index[:n]) - (n + 1)
     return label, np.array(order), np.array(ends)
@@ -283,16 +292,21 @@ def _dense_squaring(rows, cols, k: int, tol: float):
     below tol and no longer shrinks (rounding level), and after
     _MAX_SQUARINGS at the latest; any positive v can be certified.
     """
+    # the ufuncs' reduce, not the ndarray methods: their wrappers cost more
+    # than the reductions on a small matrix, and give the same floats
+    top, low, add = np.maximum.reduce, np.minimum.reduce, np.add.reduce
     a = np.bincount(rows * k + cols, minlength=k * k).reshape(k, k).astype(float)
-    b = a + np.eye(k)
-    b /= b.sum(axis=1).max()
+    b = a.copy()
+    b.ravel()[::k + 1] += 1  # A + I, without np.eye's calls
+    b /= top(add(b, axis=1))
     gap = math.inf
     for s in range(1, _MAX_SQUARINGS + 1):
         b = b @ b
-        b /= b.max()
-        v = b.sum(axis=1)
-        ratios = a @ v / v
-        prev, gap = gap, float(ratios.max() - ratios.min())
+        b /= top(b, axis=None)
+        v = add(b, axis=1)
+        ratios = a @ v
+        ratios /= v
+        prev, gap = gap, float(top(ratios) - low(ratios))
         if gap <= tol * _DENSE_GAP_FACTOR or prev <= gap <= tol:
             break
     return v, s
@@ -331,18 +345,22 @@ def _power_iteration(rows, cols, k: int, tol: float):
         f"power iteration did not reach gap {tol} within {_MAX_POWER_ITERATIONS} steps")
 
 
-def _certify(rows, cols, v) -> tuple[tuple[int, int], tuple[int, int]]:
+def _certify(rows, cols, v, prefilter: bool = True) -> tuple[tuple[int, int], tuple[int, int]]:
     """Exact min and max of (Av)_i / v_i, which bracket the Perron root of A,
-    as (numerator, denominator) pairs w_i, x_i, not reduced.
+    as (numerator, denominator) pairs w_i, x_i, not reduced; of the rows
+    that share an extreme, the first.
 
     The Collatz-Wielandt bound holds for every positive v, so this cannot
     fail; a poor v only widens the bracket. v is scaled to integers
     x_i = rint(v_i * 2^52 / max v), and w = A x is exact in int64: rows sum
     to at most 3, so w < 2^54. Where that rounding would zero an entry, x
     is v scaled exactly to Python ints instead (dtype=object), the
-    int64/object rule of oracle._count. Float quotients pick the
-    candidates for the min and max, and cross-multiplication in Python
-    ints settles them.
+    int64/object rule of oracle._count. With prefilter, float quotients
+    pick the candidates for the min and max first, which pays on the power
+    iteration's many rows (N:14: 0.28 against 6.0 ms). A dense-squaring
+    vector has converged to rounding level, so the prefilter keeps about
+    half its rows or more, and one pass of cross-multiplications in Python
+    ints over all rows is faster (README "Spectral layer").
     """
     v = np.maximum(v, np.finfo(float).tiny)  # an underflowed entry may be raised: any v > 0 will do
     x = np.rint(v * (2.0**52 / v.max())).astype(np.int64)
@@ -352,19 +370,23 @@ def _certify(rows, cols, v) -> tuple[tuple[int, int], tuple[int, int]]:
         x = np.array([n * (den // d) for n, d in parts], dtype=object)
     w = np.zeros_like(x)
     np.add.at(w, rows, x[cols])
+    if not prefilter:
+        return _extremes(w.tolist(), x.tolist())
     q = (w / x).astype(float)  # each quotient within 2^-51 of the exact one, relatively
+    near = (q <= q.min() * (1 + 2.0**-48)) | (q >= q.max() * (1 - 2.0**-48))
+    return _extremes(w[near].tolist(), x[near].tolist())
 
-    def exact(near, sign):
-        # the extreme of w_i / x_i over the candidates, by cross-multiplication
-        pairs = zip(w[near].tolist(), x[near].tolist())
-        a, b = next(pairs)
-        for c, d in pairs:
-            if (c * b - a * d) * sign > 0:
-                a, b = c, d
-        return a, b
 
-    return (exact(q <= q.min() * (1 + 2.0**-48), -1),
-            exact(q >= q.max() * (1 - 2.0**-48), 1))
+def _extremes(w: list, x: list) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The first least and the first greatest w_i / x_i, x_i > 0, by cross-multiplication."""
+    a = c = w[0]
+    b = d = x[0]
+    for p, q in zip(w, x):
+        if p * b < a * q:
+            a, b = p, q
+        elif p * d > c * q:
+            c, d = p, q
+    return (a, b), (c, d)
 
 
 def _component_bracket(rows, cols, k: int):
@@ -375,7 +397,7 @@ def _component_bracket(rows, cols, k: int):
     else:
         method, search = "power_iteration", _power_iteration
     v, steps = search(rows, cols, k, QUOTIENT_GAP)
-    return *_certify(rows, cols, v), method, steps
+    return *_certify(rows, cols, v, method == "power_iteration"), method, steps
 
 
 def _spectral_full(g: PointedLabeledGraph):

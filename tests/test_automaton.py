@@ -785,6 +785,32 @@ def test_search_matches_direct_construction(ms, width):
         assert got.carries.flags.c_contiguous
 
 
+@settings(max_examples=200, deadline=None)
+@given(_residue_1(3**12).filter(lambda m: normalize(m).value >= 4), st.data())
+@example(4, None)  # the least: label-0 children 0, label-1 children 1 and 2
+@example(3**8 + 1, None)  # every carry of a level-width search
+def test_one_multiplier_children_come_in_key_order(m, data):
+    # for M = 1 mod 3, M >= 4, and carries N <= M div 2, every label-0 child
+    # N div 3 is at most M div 6 and every label-1 child (N + M) div 3 at
+    # least M div 3, so children() needs no sort
+    M = normalize(m).value
+    if data is None:  # every carry
+        keys = list(range(M // 2 + 1))
+    else:
+        keys = sorted(data.draw(st.sets(st.integers(min_value=0, max_value=M // 2),
+                                        min_size=1, max_size=300)))
+    zero = [(N // 3, 3 * i) for i, N in enumerate(keys) if N % 3 <= 1]
+    one = [((N + M) // 3, 3 * i + 1) for i, N in enumerate(keys) if N % 3 != 1]
+    assert max((k for k, _ in zero), default=0) <= M // 6 < M // 3 <= min(
+        (k for k, _ in one), default=M // 3)
+    search = automaton._CarrySearch([M], DEFAULT_MAX_VERTICES, str(M))
+    kids, cells = search.children(np.array(keys, dtype=np.int64),
+                                  3 * np.arange(len(keys), dtype=np.int64))
+    want = sorted(zero + one, key=lambda kc: kc[0])  # stable: label 0 first on a tie
+    assert kids.tolist() == [k for k, _ in want]
+    assert cells.tolist() == [c for _, c in want]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_residue_1(3**5), min_size=1, max_size=3))
 @example([7, 19])

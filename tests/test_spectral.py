@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.sparse import csr_matrix
 
 import cantor3.spectral as spectral
@@ -293,6 +293,15 @@ def test_power_iteration_cap_only_above_the_cutoff(monkeypatch):
         hausdorff_dim(_chorded_cycle(DENSE_COMPONENT_LIMIT + 1))
 
 
+def _both_certificates(rows, cols, v):
+    """_certify with the float prefilter and in one pass, which must take the same rows."""
+    prefiltered = spectral._certify(rows, cols, v)
+    one_pass = spectral._certify(rows, cols, v, prefilter=False)
+    assert [Fraction(*end) for end in one_pass] == [Fraction(*end) for end in prefiltered]
+    assert one_pass == prefiltered  # the same (w_i, x_i): the first row at each extreme
+    return prefiltered
+
+
 def test_certify_takes_the_exact_quotient_extremes():
     g = _chorded_cycle(40)
     e = np.array(g.edges)
@@ -303,14 +312,29 @@ def test_certify_takes_the_exact_quotient_extremes():
     # has quotients equal to within float resolution
     vectors = [rng.integers(1, 2**52, size=40, endpoint=True) for _ in range(10)]
     vectors.append(np.rint(converged * (2.0**52 / converged.max())).astype(np.int64))
+    # forced ties: a constant vector gives each row its out-degree as quotient,
+    # and entries of three values tie many rows at each extreme
+    vectors.append(np.full(40, 2**52))
+    vectors += [rng.integers(1, 4, size=40) << 50 for _ in range(10)]
+    tied = np.full(40, 2**51)  # rows 4 and 20 tie at 1/2, rows 1 and 19 at 2, as unequal pairs
+    tied[[1, 5]], tied[20] = 2**50, 2**52
+    vectors.append(tied)
     for x in vectors:
         x[np.argmax(x)] = 2**52
         w = [0] * 40
         for i, j in zip(rows.tolist(), cols.tolist()):
             w[i] += int(x[j])
         q = [Fraction(w[i], int(x[i])) for i in range(40)]
-        certified = spectral._certify(rows, cols, x.astype(float))
+        certified = _both_certificates(rows, cols, x.astype(float))
         assert tuple(Fraction(*end) for end in certified) == (min(q), max(q))
+        i, j = q.index(min(q)), q.index(max(q))  # of tied rows, the first
+        assert certified == ((w[i], int(x[i])), (w[j], int(x[j])))
+    # a vector of each method on both sides of the dense limit
+    for k in (DENSE_COMPONENT_LIMIT, DENSE_COMPONENT_LIMIT + 1):
+        e = np.array(_chorded_cycle(k).edges)
+        rows, cols = e[:, 0], e[:, 1]
+        for search in (spectral._dense_squaring, spectral._power_iteration):
+            _both_certificates(rows, cols, search(rows, cols, k, spectral.QUOTIENT_GAP)[0])
 
 
 def test_certify_scales_exactly_when_int64_would_zero_an_entry():
@@ -318,7 +342,7 @@ def test_certify_scales_exactly_when_int64_would_zero_an_entry():
     rows, cols = e[:, 0], e[:, 1]
     v = np.ones(4)
     v[2] = 2.0**-60  # rint(v_2 * 2^52) would be 0
-    lo, hi = (Fraction(*end) for end in spectral._certify(rows, cols, v))
+    lo, hi = (Fraction(*end) for end in _both_certificates(rows, cols, v))
     assert lo < hi
     assert lo * lo - lo - 1 <= 0 <= hi * hi - hi - 1
 
@@ -466,6 +490,113 @@ def test_tarjan_gives_the_mutual_reachability_classes(table_start):
     comps = [order[a:b].tolist() for a, b in zip([0, *ends], ends)]
     assert _partition(comps) == _mutual_reachability_classes(g.n, [e[:2] for e in edges])
     _assert_reverse_topological(g, comps)
+
+
+def _tarjan_reference(rows):
+    """spectral._tarjan as it was with (vertex, iterator) pairs on its work
+    stack: the reference whose (label, order, ends) it must give exactly."""
+    n = len(rows)
+    index = [-1] * n + [n]
+    low = [0] * n
+    stack, order, ends = [], [], []
+    counter, done = 0, n + 1
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(rows[root]))]
+        while work:
+            v, rest = work[-1]
+            for w in rest:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(rows[w])))
+                    break
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        index[w] = done
+                        order.append(w)
+                        if w == v:
+                            break
+                    done += 1
+                    ends.append(len(order))
+    label = np.zeros(n, dtype=np.intp) if len(ends) == 1 else np.array(index[:n]) - (n + 1)
+    return label, np.array(order), np.array(ends)
+
+
+def _dense_squaring_reference(rows, cols, k, tol):
+    """spectral._dense_squaring as it was with the ndarray reduction methods
+    and a fresh quotient array: the reference whose vector and squaring
+    count it must give bit for bit."""
+    a = np.bincount(rows * k + cols, minlength=k * k).reshape(k, k).astype(float)
+    b = a + np.eye(k)
+    b /= b.sum(axis=1).max()
+    gap = math.inf
+    for s in range(1, spectral._MAX_SQUARINGS + 1):
+        b = b @ b
+        b /= b.max()
+        v = b.sum(axis=1)
+        ratios = a @ v / v
+        prev, gap = gap, float(ratios.max() - ratios.min())
+        if gap <= tol * spectral._DENSE_GAP_FACTOR or prev <= gap <= tol:
+            break
+    return v, s
+
+
+@st.composite
+def _dense_tables(draw):
+    """Label tables of 1 to DENSE_COMPONENT_LIMIT vertices, half the cells
+    empty; strongly connected when a cycle through every vertex is laid
+    over them, else in many components. Drawn from a seeded generator: a
+    table of 576 cells drawn cell by cell takes hypothesis about 45 ms."""
+    n = draw(st.integers(min_value=1, max_value=DENSE_COMPONENT_LIMIT))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    table = np.where(rng.random((n, 3)) < 0.5, -1, rng.integers(0, n, size=(n, 3)))
+    if draw(st.booleans()):
+        cycle = rng.permutation(n)
+        table[cycle, rng.integers(0, 3, size=n)] = np.roll(cycle, -1)
+    return table.tolist()
+
+
+# the CI runs these two and the certify tests at one BLAS thread as well as
+# at the default (ROADMAP item 10)
+@settings(max_examples=200, deadline=None)
+@given(_dense_tables())
+@example(_chorded_cycle(40).delta.tolist())
+@example(_chorded_cycle(DENSE_COMPONENT_LIMIT).delta.tolist())
+def test_tarjan_matches_its_reference(table):
+    got, want = spectral._tarjan(table), _tarjan_reference(table)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_dense_tables())
+@example(_chorded_cycle(40).delta.tolist())
+@example(_chorded_cycle(DENSE_COMPONENT_LIMIT).delta.tolist())
+def test_dense_squaring_matches_its_reference(table):
+    # each component in local indices, as _spectral_full splits it: vertices
+    # numbered in pop order, edges in edge order
+    _, order, ends = _tarjan_reference(table)
+    for a, b in zip([0, *ends.tolist()], ends.tolist()):
+        local = {v: i for i, v in enumerate(order[a:b].tolist())}
+        edges = [(local[v], local[w]) for v in range(len(table)) if v in local
+                 for w in table[v] if w >= 0 and w in local]
+        rows, cols = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+        got = spectral._dense_squaring(rows, cols, len(local), spectral.QUOTIENT_GAP)
+        want = _dense_squaring_reference(rows, cols, len(local), spectral.QUOTIENT_GAP)
+        assert got[1] == want[1] and np.array_equal(got[0], want[0])
 
 
 @settings(max_examples=300, deadline=None)
