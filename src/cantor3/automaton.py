@@ -29,10 +29,12 @@ NUMPY_LEVEL_WIDTH wide are stepped in numpy, in key order, narrower ones in
 Python, vertex by vertex; both number new carry vectors in order of first
 occurrence, so the vertex order is the same either way. A numpy level
 finds that order by marking each new key's first table cell, without a
-sort. With one multiplier the key is the carry itself, so the children and
-the carry matrix come straight from the keys, in one dimension. The
-narrow levels after a numpy phase look their children up in the sorted
-key index that phase holds, one searchsorted per level.
+sort; a level whose children are all new, each once, as in a tree-like
+search, skips the gathers that would be an identity on it. With one
+multiplier the key is the carry itself, so the children and the carry
+matrix come straight from the keys, in one dimension. The narrow levels
+after a numpy phase look their children up in the sorted key index that
+phase holds, one searchsorted per level.
 
 That vertex order, breadth-first from the start with children in label
 order and each vertex at its first occurrence, is every builder's, and it
@@ -466,14 +468,15 @@ class _CarrySearch:
         from the Python steps in key order: its keys ascending, and the vertex of each.
 
         The index ends in the sentinel key _KEY_LIMIT, above every key, so
-        that searchsorted lands on an entry of it for every key.
+        that searchsorted lands on an entry of it for every key. Its ids are
+        int32, as in the table.
         """
         if not self.key_chunks:  # the numpy steps go first: store the start key
             self.key_chunks.append(np.zeros(1, dtype=np.int64))
         seen = _join(self.key_chunks)
         order = np.argsort(seen, kind="stable")
         self.sorted_keys = np.append(seen[order], _KEY_LIMIT)
-        self.sorted_ids = np.append(order, -1)
+        self.sorted_ids = np.append(order, -1).astype(np.int32)
         keys = np.array(level, dtype=np.int64)
         order = np.argsort(keys)
         return keys[order], order + (self.n - len(keys))
@@ -515,51 +518,76 @@ class _CarrySearch:
         the edge labeled a out of vertex v is cell 3 * (v - base) + a of
         its table. A fresh key is numbered by its first cell, where a
         vertex-by-vertex search would meet it first: the first cells are
-        marked in a bool array over the table, and the count of marks up to
-        a key's first cell is its place among the fresh keys. A level with
-        no fresh key, the last one, leaves the sorted index as it is.
+        marked in a bool array over the table, and the marked cells, in
+        order, take the next ids. A level with no fresh key, the last one,
+        leaves the sorted index as it is. The fresh keys are merged into the
+        index by their places in the merged array, the old keys filling the
+        places left over.
+
+        Two shortcuts skip gathers that would be an identity. When no child
+        is in the index, the fresh children are all the children, taken as
+        they are, and no id is read from the index. When no fresh key
+        repeats, each child is its key's first copy, so no run of copies is
+        reduced to its first cell and no copy is given its first copy's id.
+        The wide levels of a tree-like search take both: every level of an
+        N_k search but the last.
         """
         n, seen, seen_ids = self.n, self.sorted_keys, self.sorted_ids
         kids, cells = self.children(keys, 3 * (ids - (n - len(keys))))
         pos = np.searchsorted(seen, kids)  # at most n: the sentinel passes every key
-        fresh_at = np.flatnonzero(seen[pos] != kids)
-        dst = seen_ids[pos]
+        fresh = seen[pos] != kids
+        count = np.count_nonzero(fresh)
         table = np.full((len(keys), 3), -1, dtype=np.int32)
         self.row_chunks.append(table)
-        if not len(fresh_at):  # as on the last level: nothing to number or merge
-            table.ravel()[cells] = dst
+        flat = table.ravel()
+        if not count:  # as on the last level: nothing to number or merge
+            flat[cells] = seen_ids[pos]
             self.key_chunks.append(np.zeros(0, dtype=np.int64))
-            return self.key_chunks[-1], fresh_at
-        # the fresh keys' copies, ascending, and where each goes in seen
-        s, pos = kids[fresh_at], pos[fresh_at]
+            return self.key_chunks[-1], self.key_chunks[-1]
+        # the fresh keys' copies, ascending, where each goes in seen, and
+        # its cell; when no child is in the index they are the children
+        every = count == len(kids)
+        if every:
+            s, first = kids, cells
+        else:
+            dst = seen_ids[pos]
+            fresh_at = np.flatnonzero(fresh)
+            s, pos, first = kids[fresh_at], pos[fresh_at], cells[fresh_at]
         head = np.ones(len(s), dtype=bool)
         np.not_equal(s[1:], s[:-1], out=head[1:])
-        starts = np.flatnonzero(head)
-        uniq = s[starts]
+        repeats = not head.all()
+        uniq, at = s, pos
+        if repeats:  # each fresh key once, and its first cell
+            starts = np.flatnonzero(head)
+            uniq, at, first = s[starts], pos[starts], np.minimum.reduceat(first, starts)
         if n + len(uniq) > self.max_vertices:
             self.refuse()
-        first = np.minimum.reduceat(cells[fresh_at], starts)
         mark = np.zeros(table.size, dtype=bool)
         mark[first] = True
-        # the int64 scalar makes the ids int64, as in the index
-        new_ids = np.cumsum(mark, dtype=np.int32)[first] + np.int64(n - 1)
-        dst[fresh_at] = new_ids[np.cumsum(head) - 1]
-        table.ravel()[cells] = dst
+        # the first cells, in vertex order, take the next ids
+        flat[np.flatnonzero(mark)] = np.arange(n, n + len(uniq), dtype=np.int32)
+        new_ids = flat[first]
+        if not every:
+            dst[fresh_at] = new_ids[np.cumsum(head) - 1] if repeats else new_ids
+            flat[cells] = dst
+            del dst, fresh_at
+        elif repeats:  # the later copies' cells
+            flat[cells] = new_ids[np.cumsum(head) - 1]
         chunk = np.empty_like(uniq)
         chunk[new_ids - n] = uniq
         self.key_chunks.append(chunk)
-        at = pos[starts]
         # before the index is copied: a lower peak
-        del kids, cells, dst, fresh_at, s, pos, mark, first
+        del kids, cells, fresh, s, pos, mark, first
         # merge the fresh keys into the sorted index: uniq[i] goes before
-        # seen[at[i]], and seen[j], the sentinel too, moves up by the fresh
-        # keys before it
-        moved = np.cumsum(np.bincount(at, minlength=len(seen)))
-        moved += np.arange(len(seen))
+        # seen[at[i]], so to at[i] + i, and seen, the sentinel too, fills
+        # the other places in order
         at += np.arange(len(uniq))
+        rest = np.ones(len(seen) + len(uniq), dtype=bool)
+        rest[at] = False
+        moved = np.flatnonzero(rest)
         self.sorted_keys = np.empty(len(seen) + len(uniq), dtype=np.int64)
         self.sorted_keys[at], self.sorted_keys[moved] = uniq, seen
-        self.sorted_ids = np.empty(len(seen) + len(uniq), dtype=np.int64)
+        self.sorted_ids = np.empty(len(seen) + len(uniq), dtype=np.int32)
         self.sorted_ids[at], self.sorted_ids[moved] = new_ids, seen_ids
         self.n = n + len(uniq)
         return uniq, new_ids

@@ -32,18 +32,30 @@ def is_subset(g1: PointedLabeledGraph, g2: PointedLabeledGraph) -> ComparisonRes
 
     Breadth-first over state pairs: from (u1, u2) every out-label of u1
     must be an out-label of u2. Breadth-first order makes the first failure
-    a shortest witness.
+    a shortest witness. Each graph's rows are read inline from a dict of
+    the rows met so far, each turned into a list on first use: a search may
+    read few rows of a large graph.
     """
     validate(g1).require("left graph")
     validate(g2).require("right graph")
-    row1, row2 = _rows(g1), _rows(g2)
+    delta1, delta2 = g1.delta, g2.delta
+    rows1, rows2 = {}, {}
     start = (g1.start, g2.start)
     parent: dict = {start: None}
     queue = [start]
     for pair in queue:  # the BFS queue: appended to while it is walked
-        for a, (w1, w2) in enumerate(zip(row1(pair[0]), row2(pair[1]))):
+        u1, u2 = pair
+        row1 = rows1.get(u1)
+        if row1 is None:
+            row1 = rows1[u1] = delta1[u1].tolist()
+        row2 = rows2.get(u2)
+        if row2 is None:
+            row2 = rows2[u2] = delta2[u2].tolist()
+        for a in (0, 1, 2):
+            w1 = row1[a]
             if w1 < 0:
                 continue
+            w2 = row2[a]
             if w2 < 0:
                 word = [a]
                 node = pair
@@ -57,20 +69,6 @@ def is_subset(g1: PointedLabeledGraph, g2: PointedLabeledGraph) -> ComparisonRes
                 parent[nxt] = (pair, a)
                 queue.append(nxt)
     return ComparisonResult(True, None)
-
-
-def _rows(g: PointedLabeledGraph):
-    """v -> g.delta[v] as a list, converted on first use and kept in a dict:
-    a search may read few rows of a large graph."""
-    delta, cache = g.delta, {}
-
-    def row(v: int) -> list:
-        r = cache.get(v)
-        if r is None:
-            r = cache[v] = delta[v].tolist()
-        return r
-
-    return row
 
 
 def pointed_isomorphic(g1: PointedLabeledGraph, g2: PointedLabeledGraph) -> bool:

@@ -743,6 +743,32 @@ SWITCHING_BACK = [([733], 4), ([2**16], 16)]
 NARROW_TAIL = [([2**18], NUMPY_LEVEL_WIDTH), ([2**20], NUMPY_LEVEL_WIDTH),
                ([1000003], NUMPY_LEVEL_WIDTH), ([2**24, 2**26], NUMPY_LEVEL_WIDTH)]
 
+# searches with a numpy level of each kind, as numpy_level tells them apart:
+# no fresh child (N_9's last level), every child fresh and each once (N_9's
+# first), every child fresh with repeats, and some children in the index,
+# the fresh ones each once or with repeats
+_SOME_FRESH = {"fresh keys without repeats", "fresh keys with repeats"}
+LEVEL_CASES = [([3**9 + 1], NUMPY_LEVEL_WIDTH, {"no fresh key", "every child fresh"}),
+               ([73], 1, {"every child fresh, repeats"}),
+               ([2**20], NUMPY_LEVEL_WIDTH, _SOME_FRESH),
+               ([2**24, 2**26], NUMPY_LEVEL_WIDTH, _SOME_FRESH)]
+
+_numpy_level = automaton._CarrySearch.numpy_level
+
+
+def _level_case(search, n):
+    """The kind of the numpy level just stepped, read off its table: n is
+    the vertex count before it, so the ids from n on are its fresh keys."""
+    dst = search.row_chunks[-1]
+    dst = dst[dst >= 0]
+    fresh = dst[dst >= n]
+    if not len(fresh):
+        return "no fresh key"
+    repeats = len(np.unique(fresh)) < len(fresh)
+    if len(fresh) == len(dst):
+        return "every child fresh, repeats" if repeats else "every child fresh"
+    return "fresh keys with repeats" if repeats else "fresh keys without repeats"
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.one_of(_residue_1(3**6), st.sampled_from(NEAR_THE_KEY_BOUND)),
@@ -752,6 +778,8 @@ NARROW_TAIL = [([2**18], NUMPY_LEVEL_WIDTH), ([2**20], NUMPY_LEVEL_WIDTH),
 @example([2**18], NUMPY_LEVEL_WIDTH)  # numpy in the middle, Python before and after
 @example([2**24, 2**26], NUMPY_LEVEL_WIDTH)  # two multipliers: children out of key order
 @example([2**20], NUMPY_LEVEL_WIDTH)  # a narrow tail of 313 vertices after a numpy phase
+@example([3**9 + 1], NUMPY_LEVEL_WIDTH)  # every child fresh, then no fresh key
+@example([73], 1)  # every child fresh, some more than once
 @example([1000003], NUMPY_LEVEL_WIDTH)  # a narrow tail after a numpy phase
 @example([733], 4)  # Python -> numpy three times
 @example([2**16], 16)  # Python -> numpy twice
@@ -763,18 +791,31 @@ NARROW_TAIL = [([2**18], NUMPY_LEVEL_WIDTH), ([2**20], NUMPY_LEVEL_WIDTH),
 @example([2**12], 4)
 @example([_L(39)], 1)  # one multiplier with keys near 2^62
 def test_search_matches_direct_construction(ms, width):
+    cases = set()
+
+    def step(search, keys, ids):
+        n = search.n
+        out = _numpy_level(search, keys, ids)
+        cases.add(_level_case(search, n))
+        return out
+
     # a narrower gate sends small graphs through the numpy steps too
     with patch.object(automaton, "NUMPY_LEVEL_WIDTH", width), \
             patch.object(automaton._CarrySearch, "key_order", autospec=True,
                          side_effect=automaton._CarrySearch.key_order) as numpy_phases, \
             patch.object(automaton._CarrySearch, "tail_levels", autospec=True,
-                         side_effect=automaton._CarrySearch.tail_levels) as tails:
+                         side_effect=automaton._CarrySearch.tail_levels) as tails, \
+            patch.object(automaton._CarrySearch, "numpy_level", autospec=True,
+                         side_effect=step):
         got = build_multi(ms)
     if (ms, width) in SWITCHING_BACK:
         # the sorted index is rebuilt on a switch back, and the graph still matches
         assert numpy_phases.call_count >= 2
     if (ms, width) in NARROW_TAIL:
         assert any(call.args[1] for call in tails.call_args_list)
+    for case_ms, case_width, want_cases in LEVEL_CASES:
+        if (ms, width) == (case_ms, case_width):
+            assert want_cases <= cases
     want = build_multi_direct(ms)
     assert (got.vertices, got.edges, got.start) == (want.vertices, want.edges, want.start)
     assert got.delta.dtype == np.int32 and np.array_equal(got.delta, want.delta)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cantor3 import (
+    ComparisonResult,
     PointedLabeledGraph,
     Y_graph,
     admissible_word,
@@ -63,6 +64,63 @@ def _small_graphs(draw):
     edges = [(v, d, a) for v, row in enumerate(rows) for a, d in enumerate(row) if d >= 0]
     return trim_essential(PointedLabeledGraph([(v,) for v in range(n)], edges,
                                               draw(st.integers(min_value=0, max_value=n - 1))))
+
+
+def _is_subset_reference(g1, g2):
+    """The same search reading rows through one closure per graph and
+    zip/enumerate per pair: the cross-check for is_subset's inline reads."""
+    validate(g1).require("left graph")
+    validate(g2).require("right graph")
+
+    def rows(g):
+        delta, cache = g.delta, {}
+
+        def row(v):
+            r = cache.get(v)
+            if r is None:
+                r = cache[v] = delta[v].tolist()
+            return r
+
+        return row
+
+    row1, row2 = rows(g1), rows(g2)
+    start = (g1.start, g2.start)
+    parent = {start: None}
+    queue = [start]
+    for pair in queue:  # the BFS queue: appended to while it is walked
+        for a, (w1, w2) in enumerate(zip(row1(pair[0]), row2(pair[1]))):
+            if w1 < 0:
+                continue
+            if w2 < 0:
+                word = [a]
+                node = pair
+                while parent[node] is not None:
+                    node, lab = parent[node]
+                    word.append(lab)
+                word.reverse()
+                return ComparisonResult(False, tuple(word))
+            nxt = (w1, w2)
+            if nxt not in parent:
+                parent[nxt] = (pair, a)
+                queue.append(nxt)
+    return ComparisonResult(True, None)
+
+
+# builder graphs: the Y graph and intersections of up to two multipliers
+_builder_graphs = st.one_of(
+    st.just(Y_graph()),
+    st.lists(st.integers(min_value=1, max_value=3**6), min_size=1, max_size=2).map(build_multi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_small_graphs(), _builder_graphs), st.one_of(_small_graphs(), _builder_graphs))
+@example(Y_graph(), build_single(3**9 + 1))  # Y inside N_9
+@example(build_single(3**7 + 1), Y_graph())  # N_7 not inside Y
+def test_is_subset_matches_its_reference(g1, g2):
+    # small graphs have any start and rows with label 2
+    assume(validate(g1).essential and validate(g2).essential)
+    got, want = is_subset(g1, g2), _is_subset_reference(g1, g2)
+    assert (got.holds, got.witness) == (want.holds, want.witness)
 
 
 def test_subset_along_intersection():

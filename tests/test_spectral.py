@@ -337,6 +337,28 @@ def test_certify_takes_the_exact_quotient_extremes():
             _both_certificates(rows, cols, search(rows, cols, k, spectral.QUOTIENT_GAP)[0])
 
 
+def test_certify_margin_covers_misordered_float_quotients():
+    # rows 0 and 1 each read three vertices whose x sum past 2^53, where
+    # float64 rounds the sum: exactly, row 0's quotient is the least, but
+    # the float quotients order rows 0 and 1 the other way, so a prefilter
+    # that kept only the float minimum would miss row 0 (values found by a
+    # seeded search over x_0, x_1 and w_0)
+    x0, x1 = 4418486501513402, 3894426677607500
+    w0, w1 = 10255598371961339, 9039220982323769
+    x = [x0, x1, w0 // 3, w0 // 3, w0 - 2 * (w0 // 3),
+         w1 // 3, w1 // 3, w1 - 2 * (w1 // 3), 2**52]
+    # every other row reads vertex 8 three times: quotients of 3 and more
+    rows = np.array([0, 0, 0, 1, 1, 1] + [r for r in range(2, 9) for _ in range(3)])
+    cols = np.array([2, 3, 4, 5, 6, 7] + [8] * 21)
+    assert Fraction(w0, x0) < Fraction(w1, x1)
+    q = np.array([w0, w1]) / np.array([x0, x1])
+    assert q[0] > q[1]
+    # the largest entry is 2^52, so x is scaled by exactly 1
+    lo, hi = _both_certificates(rows, cols, np.array(x, dtype=float))
+    assert lo == (w0, x0)
+    assert hi == (3 * 2**52, w1 // 3)  # the least entry that reads vertex 8
+
+
 def test_certify_scales_exactly_when_int64_would_zero_an_entry():
     e = np.array(build_single(7).edges)  # one component, Perron root phi
     rows, cols = e[:, 0], e[:, 1]
