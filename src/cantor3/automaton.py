@@ -48,7 +48,7 @@ import math
 import os
 from dataclasses import dataclass
 from math import prod
-from operator import mul
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -782,17 +782,29 @@ def count_paths(g: PointedLabeledGraph, n: int) -> int:
 
 
 def _count_paths_loop(g: PointedLabeledGraph, n: int) -> int:
-    """Path counts per vertex as Python ints, one add per edge per step."""
+    """Path counts per vertex as Python ints, one gather a step.
+
+    Each step takes every vertex's count from its first in-edge's source in
+    one operator.itemgetter call and adds the other in-edges' sources in
+    Python. counts[g.n] is a zero sentinel: the first source of a vertex
+    with no in-edge, and the gather's last index, so the gather always
+    returns a tuple (itemgetter of one index returns the item) ending in 0.
+    """
     src, dst, _ = g.edge_arrays()
-    pairs = list(zip(src.tolist(), dst.tolist()))
-    counts = [0] * g.n
+    order = np.argsort(dst, kind="stable")
+    src, dst = src[order], dst[order]
+    first = np.ones(len(dst), dtype=bool)
+    first[1:] = dst[1:] != dst[:-1]
+    heads = np.full(g.n + 1, g.n)
+    heads[dst[first]] = src[first]
+    gather = itemgetter(*heads.tolist())
+    rest = list(zip(src[~first].tolist(), dst[~first].tolist()))
+    counts = [0] * (g.n + 1)
     counts[g.start] = 1
     for _ in range(n):
-        nxt = [0] * g.n
-        for s, d in pairs:
-            c = counts[s]
-            if c:
-                nxt[d] += c
+        nxt = list(gather(counts))
+        for s, d in rest:
+            nxt[d] += counts[s]
         counts = nxt
     return sum(counts)
 
@@ -832,22 +844,33 @@ def _count_paths_limbs(g: PointedLabeledGraph, n: int) -> int:
 def _limb_steps(rows, cols, X: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     """M^k X in base-2^b int64 limbs, with M the matrix of one 1 per (rows, cols) pair.
 
-    Returns the (vertices x limbs) array and b. Duplicate pairs sum. Steps
-    go in pairs: one product with M if k is odd, then k // 2 with M @ M. On
-    carry graphs M @ M has about 1.5 times the nonzeros of M, so a pair
-    does about 25 % fewer multiply-adds than two single steps, in half the
-    Python round trips. No entry of X exceeds `bound` (a Python int); a
-    pair multiplies it by at most D, the largest row sum of M @ M, so
-    carries are propagated just before bound * D would pass 2^63 - 1,
-    repeatedly until the pair fits, and once more at the end. A carried
-    limb holds less than 2^b plus the carry from below; b = 49 - ceil(log2 D)
-    leaves 14 bits, 7 pairs at D = 4, between carries.
+    X is one column; returns the (vertices x limbs) array and b. Duplicate
+    pairs sum. Steps go in pairs: one product with M if k is odd, then
+    k // 2 with M @ M. On carry graphs M @ M has about 1.5 times the
+    nonzeros of M, so a pair does about 25 % fewer multiply-adds than two
+    single steps, in half the Python round trips. No entry of X exceeds
+    `bound` (a Python int); a pair multiplies it by at most D, the largest
+    row sum of M @ M, so carries are propagated just before bound * D would
+    pass 2^63 - 1, repeatedly until the pair fits, and once more at the
+    end. A carried limb holds less than 2^b plus the carry from below;
+    b = 49 - ceil(log2 D) leaves 14 bits, 7 pairs at D = 4, between carries.
+
+    The limbs are the rows of a (limbs x vertices) buffer, and nothing is
+    allocated per product: each limb row goes through scipy's compiled
+    csr_matvec, which adds M times it into the matching row of a second
+    buffer, zeroed in place first; then the two swap. Carries run in place
+    through the spare buffer, which grows with the limbs. The result is the
+    transposed view.
     """
     from scipy.sparse import csr_matrix
+    from scipy.sparse._sparsetools import csr_matvec
 
-    M = csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(len(X), len(X)))
+    n = len(X)
+    M = csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(n, n))
+    X, Y = X.T.copy(), np.zeros((1, n), dtype=np.int64)
     if k % 2:
-        X = M @ X
+        csr_matvec(n, n, M.indptr, M.indices, M.data, X[0], Y[0])
+        X, Y = Y, X
     if k >= 2:
         M = M @ M
     D = int(M.sum(axis=1).max())
@@ -856,20 +879,27 @@ def _limb_steps(rows, cols, X: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     bound = int(X.max())
     for _ in range(k // 2):
         while bound * D > _INT64_MAX:
-            X = _carry(X, b)
+            X = _carry(X, Y, b)
+            if len(Y) < len(X):  # a limb was added: the old spare goes before the new one comes
+                del Y
+                Y = np.empty_like(X)
             bound = mask + (bound >> b)
-        X = M @ X
+        Y.fill(0)
+        for j in range(len(X)):
+            csr_matvec(n, n, M.indptr, M.indices, M.data, X[j], Y[j])
+        X, Y = Y, X
         bound *= D
-    return _carry(X, b), b
+    return _carry(X, Y, b).T, b
 
 
-def _carry(X: np.ndarray, b: int) -> np.ndarray:
-    """X with each limb's bits from b up moved into the next limb, in place or one limb wider."""
-    high = X >> b
-    X &= (1 << b) - 1
-    X[:, 1:] += high[:, :-1]
-    if high[:, -1].any():
-        X = np.hstack([X, high[:, -1:]])
+def _carry(X: np.ndarray, Y: np.ndarray, b: int) -> np.ndarray:
+    """X's limb rows with each limb's bits from b up moved into the next limb,
+    in place through the spare Y of X's shape, or with one limb more."""
+    np.right_shift(X, b, out=Y)
+    np.bitwise_and(X, (1 << b) - 1, out=X)
+    X[1:] += Y[:-1]
+    if Y[-1].any():
+        X = np.vstack([X, Y[-1:]])
     return X
 
 

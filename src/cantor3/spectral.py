@@ -325,22 +325,35 @@ def _power_iteration(rows, cols, k: int, tol: float):
     The step count is the number of products before the returned v, a
     multiple of _POWER_ROUND. A is CSR without its diagonal, built from the
     edges grouped by row (duplicates are summed by the product).
+
+    Nothing is allocated per product: two vectors swap within a round and
+    the quotients go into a third, which also holds c x. Each product is
+    scipy's compiled csr_matvec into a zeroed vector, the call A @ x makes,
+    then c x is added, so every float is that of A @ x + c * x.
     """
-    from scipy.sparse import csr_matrix
+    from scipy.sparse._sparsetools import csr_matvec
 
     indptr = np.zeros(k + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=k), out=indptr[1:])
     indices = np.asarray(cols, dtype=np.int32)[np.argsort(rows, kind="stable")]
-    A = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(k, k))
-    v = np.ones(k)
+    data = np.ones(len(indices))
+
+    def shifted(x, out, t):  # out = A x + c x
+        out.fill(0.0)
+        csr_matvec(k, k, indptr, indices, data, x, out)
+        np.multiply(x, POWER_SHIFT, out=t)
+        np.add(out, t, out=out)
+
+    v, u, t = np.ones(k), np.empty(k), np.empty(k)
     for step in range(0, _MAX_POWER_ITERATIONS, _POWER_ROUND):
-        u = A @ v + POWER_SHIFT * v
-        ratios = u / v
-        if ratios.max() - ratios.min() <= tol:
+        shifted(v, u, t)
+        np.divide(u, v, out=t)
+        if t.max() - t.min() <= tol:
             return v, step
         for _ in range(_POWER_ROUND - 1):
-            u = A @ u + POWER_SHIFT * u
-        v = u / u.max()
+            shifted(u, v, t)
+            u, v = v, u
+        np.divide(u, u.max(), out=v)
     raise RefusalError(
         f"power iteration did not reach gap {tol} within {_MAX_POWER_ITERATIONS} steps")
 

@@ -425,6 +425,133 @@ def test_count_paths_kernel_matches_oracle():
                 assert _count_paths_limbs(pair, n) == brute_count_extendable([7, 19], n)
 
 
+def _count_paths_loop_reference(g, n):
+    """_count_paths_loop as it was, one Python add per edge per step: the
+    reference whose count it must give."""
+    src, dst, _ = g.edge_arrays()
+    pairs = list(zip(src.tolist(), dst.tolist()))
+    counts = [0] * g.n
+    counts[g.start] = 1
+    for _ in range(n):
+        nxt = [0] * g.n
+        for s, d in pairs:
+            c = counts[s]
+            if c:
+                nxt[d] += c
+        counts = nxt
+    return sum(counts)
+
+
+def _limb_steps_reference(rows, cols, X, k):
+    """_limb_steps as it was, a fresh (vertices x limbs) array from every
+    sparse product and carry: the reference whose limbs and b it must give."""
+    from scipy.sparse import csr_matrix
+
+    M = csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(len(X), len(X)))
+    if k % 2:
+        X = M @ X
+    if k >= 2:
+        M = M @ M
+    D = int(M.sum(axis=1).max())
+    b = 49 - (D - 1).bit_length()
+    mask = (1 << b) - 1
+    bound = int(X.max())
+    for _ in range(k // 2):
+        while bound * D > 2**63 - 1:
+            X = _carry_reference(X, b)
+            bound = mask + (bound >> b)
+        X = M @ X
+        bound *= D
+    return _carry_reference(X, b), b
+
+
+def _carry_reference(X, b):
+    high = X >> b
+    X &= (1 << b) - 1
+    X[:, 1:] += high[:, :-1]
+    if high[:, -1].any():
+        X = np.hstack([X, high[:, -1:]])
+    return X
+
+
+@st.composite
+def _fan_in_tables(draw):
+    """Right-resolving graphs of 1 to 64 vertices with in-degree 0 to 3 and
+    any start, so up to 192 edges, on both sides of LIMB_KERNEL_EDGES.
+    Drawn from a seeded generator: a cell that would give its destination
+    a fourth in-edge is left empty."""
+    k = draw(st.integers(min_value=1, max_value=64))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    fill = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    indegree, edges = [0] * k, []
+    for v in range(k):
+        for a in range(3):
+            d = rng.randrange(k)
+            if rng.random() < fill and indegree[d] < 3:
+                indegree[d] += 1
+                edges.append((v, d, a))
+    return PointedLabeledGraph([(v,) for v in range(k)], edges, draw(st.integers(0, k - 1)))
+
+
+_ONE_VERTEX = PointedLabeledGraph([(0,)], [(0, 0, 0), (0, 0, 2)], 0)
+# every vertex has in-degree 3: 192 edges, the kernel's side of the cutoff
+_FULL_64 = PointedLabeledGraph([(v,) for v in range(64)],
+                               [(v, (3 * v + a) % 64, a) for v in range(64) for a in range(3)], 5)
+# 42 vertices of in-degree 3: 126 edges, the loop's side
+_FULL_42 = PointedLabeledGraph([(v,) for v in range(42)],
+                               [(v, (3 * v + a) % 42, a) for v in range(42) for a in range(3)], 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_fan_in_tables(), st.one_of(st.integers(min_value=0, max_value=60), st.just(400)))
+@example(_ONE_VERTEX, 0)
+@example(_ONE_VERTEX, 400)
+@example(_FULL_64, 400)
+@example(_FULL_42, 400)
+def test_count_paths_match_their_references(g, n):
+    want = _count_paths_loop_reference(g, n)
+    assert _count_paths_loop(g, n) == want
+    assert count_paths(g, n) == want
+    src, dst, _ = g.edge_arrays()
+    for rows, cols, X in ((dst, src, np.eye(g.n, 1, -g.start, dtype=np.int64)),
+                          (src, dst, np.ones((g.n, 1), dtype=np.int64))):
+        got, b = _limb_steps(rows, cols, X.copy(), n // 2)
+        ref, ref_b = _limb_steps_reference(rows, cols, X.copy(), n // 2)
+        assert b == ref_b and got.shape == ref.shape and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("m", [2**13, 2**17])
+def test_limb_steps_carry_repeatedly_before_a_step(m):
+    # m duplicate pairs make M = [m] and D = m^2 > 2^25, where b < 25 and one
+    # carry can leave the next pair no room: limbs are added twice in a row
+    rows = cols = np.zeros(m, dtype=np.intp)
+    for k in (40, 41):
+        got, b = _limb_steps(rows, cols, np.ones((1, 1), dtype=np.int64), k)
+        ref, ref_b = _limb_steps_reference(rows, cols, np.ones((1, 1), dtype=np.int64), k)
+        assert b == ref_b and np.array_equal(got, ref)
+        assert sum(int(c) << (b * j) for j, c in enumerate(got[0].tolist())) == m**k
+
+
+def test_count_paths_cutoff_examples_sit_on_both_sides():
+    assert _FULL_42.edge_count < LIMB_KERNEL_EDGES <= _FULL_64.edge_count
+    assert max(np.bincount(_FULL_64.edge_arrays()[1])) == 3
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_csr_matvec_accumulates_int64_products(index_dtype):
+    # _limb_steps relies on scipy's private compiled product adding A x
+    # into y, in int64, whatever the index width scipy picks for a matrix
+    from scipy.sparse._sparsetools import csr_matvec
+
+    indptr = np.array([0, 2, 2, 5], dtype=index_dtype)
+    indices = np.array([0, 2, 1, 1, 2], dtype=index_dtype)
+    data = np.array([1, 3, 2, 5, 2**40], dtype=np.int64)
+    x = np.array([7, 11, 2**20], dtype=np.int64)
+    y = np.array([1, -2, 2**61], dtype=np.int64)
+    csr_matvec(3, 3, indptr, indices, data, x, y)
+    assert y.tolist() == [1 + 7 + 3 * 2**20, -2, 2**61 + 7 * 11 + 2**60]
+
+
 def _record_limb_threads(monkeypatch):
     """Wraps _limb_steps; returns the list of (thread, forward?) of each call."""
     calls, limb_steps = [], automaton._limb_steps

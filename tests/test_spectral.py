@@ -576,6 +576,26 @@ def _dense_squaring_reference(rows, cols, k, tol):
     return v, s
 
 
+def _power_iteration_reference(rows, cols, k, tol):
+    """spectral._power_iteration as it was, a fresh vector from every
+    product and quotient: the reference whose vector and step count it must
+    give bit for bit."""
+    indptr = np.zeros(k + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=k), out=indptr[1:])
+    indices = np.asarray(cols, dtype=np.int32)[np.argsort(rows, kind="stable")]
+    A = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(k, k))
+    v = np.ones(k)
+    for step in range(0, spectral._MAX_POWER_ITERATIONS, spectral._POWER_ROUND):
+        u = A @ v + spectral.POWER_SHIFT * v
+        ratios = u / v
+        if ratios.max() - ratios.min() <= tol:
+            return v, step
+        for _ in range(spectral._POWER_ROUND - 1):
+            u = A @ u + spectral.POWER_SHIFT * u
+        v = u / u.max()
+    raise AssertionError("the reference did not converge")
+
+
 @st.composite
 def _dense_tables(draw):
     """Label tables of 1 to DENSE_COMPONENT_LIMIT vertices, half the cells
@@ -761,3 +781,21 @@ def test_power_iteration_rounds_bound_the_certified_width(spec):
     assert r.method == "power_iteration" and r.iterations % 4 == 0
     # the stop rule's float gap bounds the exact bracket up to rounding
     assert hi - lo <= Fraction(spectral.QUOTIENT_GAP * (1 + 1e-3))
+
+
+@pytest.mark.parametrize("spec", ["N:14", "1048576", "1000003", "16777216,67108864",
+                                  "P:10", "L:300"])
+def test_power_iteration_matches_its_reference(spec, monkeypatch):
+    # every large component as _spectral_full hands it over
+    search, solved = spectral._power_iteration, []
+
+    def compared(rows, cols, k, tol):
+        got = search(rows, cols, k, tol)
+        want = _power_iteration_reference(rows, cols, k, tol)
+        assert got[1] == want[1] and np.array_equal(got[0], want[0])
+        solved.append(k)
+        return got
+
+    monkeypatch.setattr(spectral, "_power_iteration", compared)
+    hausdorff_dim(build_multi(parse_multiplier_list(spec)))
+    assert solved
