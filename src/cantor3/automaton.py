@@ -46,6 +46,7 @@ langops.pointed_isomorphic compares).
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass
 from math import prod
 from operator import itemgetter, mul
@@ -762,6 +763,45 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+_SPARSE_KERNELS = None
+_SPARSE_KERNELS_LOCK = threading.Lock()
+
+
+def sparse_kernels():
+    """scipy's compiled sparse routines, the extension scipy.sparse._sparsetools,
+    loaded on first call without importing scipy.
+
+    The path counts and the power iteration call these routines and nothing
+    else of scipy, while `import scipy.sparse` costs about 19 MB of resident
+    memory and 0.14-0.2 s of package code. The extension is found in scipy's
+    package directory by file name, which runs none of scipy, and loaded
+    under a name of its own, so a later `import scipy.sparse` still loads
+    and binds scipy's copy.
+    """
+    global _SPARSE_KERNELS
+    with _SPARSE_KERNELS_LOCK:  # threads that ask at once still load it once
+        if _SPARSE_KERNELS is None:
+            _SPARSE_KERNELS = _load_sparse_kernels()
+    return _SPARSE_KERNELS
+
+
+def _load_sparse_kernels():
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+    from importlib.util import find_spec, module_from_spec
+
+    scipy = find_spec("scipy")  # locates the package without importing it
+    if scipy is None:
+        raise ModuleNotFoundError("cantor3's sparse kernels need scipy", name="scipy")
+    where = os.path.join(scipy.submodule_search_locations[0], "sparse")
+    spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(
+        "cantor3._sparsetools")
+    if spec is None:
+        raise ImportError(f"no _sparsetools extension in {where}")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def count_paths(g: PointedLabeledGraph, n: int) -> int:
     """Number of length-n label words readable from the start.
 
@@ -831,6 +871,7 @@ def _count_paths_limbs(g: PointedLabeledGraph, n: int) -> int:
         # imported here: serial counts never load the thread pool
         from concurrent.futures import ThreadPoolExecutor
 
+        sparse_kernels()  # loaded before the worker exists, which then never waits for it
         with ThreadPoolExecutor(max_workers=1) as pool:
             forward = pool.submit(_limb_steps, dst, src, start, h)
             B, bb = _limb_steps(src, dst, ones, n - h)
@@ -857,23 +898,26 @@ def _limb_steps(rows, cols, X: np.ndarray, k: int) -> tuple[np.ndarray, int]:
 
     The limbs are the rows of a (limbs x vertices) buffer, and nothing is
     allocated per product: each limb row goes through scipy's compiled
-    csr_matvec, which adds M times it into the matching row of a second
-    buffer, zeroed in place first; then the two swap. Carries run in place
-    through the spare buffer, which grows with the limbs. The result is the
-    transposed view.
+    csr_matvec (sparse_kernels), which adds M times it into the matching row
+    of a second buffer, zeroed in place first; then the two swap. Carries
+    run in place through the spare buffer, which grows with the limbs. The
+    result is the transposed view. M and M @ M are CSR arrays built by the
+    same compiled routines, in the same calls, as scipy's csr_matrix and
+    its product, without loading scipy.sparse.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse._sparsetools import csr_matvec
-
+    csr_matvec = sparse_kernels().csr_matvec
     n = len(X)
-    M = csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(n, n))
+    M = _csr(n, rows, cols)
     X, Y = X.T.copy(), np.zeros((1, n), dtype=np.int64)
     if k % 2:
-        csr_matvec(n, n, M.indptr, M.indices, M.data, X[0], Y[0])
+        csr_matvec(n, n, *M, X[0], Y[0])
         X, Y = Y, X
     if k >= 2:
-        M = M @ M
-    D = int(M.sum(axis=1).max())
+        M = _csr_square(n, *M)
+    indptr, _, data = M
+    sums = np.zeros(len(data) + 1, dtype=np.int64)
+    np.cumsum(data, out=sums[1:])
+    D = int((sums[indptr[1:]] - sums[indptr[:-1]]).max())  # the largest row sum
     b = 49 - (D - 1).bit_length()
     mask = (1 << b) - 1
     bound = int(X.max())
@@ -886,10 +930,38 @@ def _limb_steps(rows, cols, X: np.ndarray, k: int) -> tuple[np.ndarray, int]:
             bound = mask + (bound >> b)
         Y.fill(0)
         for j in range(len(X)):
-            csr_matvec(n, n, M.indptr, M.indices, M.data, X[j], Y[j])
+            csr_matvec(n, n, *M, X[j], Y[j])
         X, Y = Y, X
         bound *= D
     return _carry(X, Y, b).T, b
+
+
+def _index_dtype(*sizes: int) -> type:
+    """int32 indices where every size fits in them, as scipy picks, else int64."""
+    return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
+
+
+def _csr(n: int, rows, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, data) of the n x n int64 matrix of one 1 per (rows, cols)
+    pair, duplicates summed: csr_matrix((ones, (rows, cols)))'s compiled calls."""
+    kernels, idx, nnz = sparse_kernels(), _index_dtype(n, len(rows)), len(rows)
+    indptr, indices, data = np.empty(n + 1, idx), np.empty(nnz, idx), np.empty(nnz, np.int64)
+    kernels.coo_tocsr(n, n, nnz, rows.astype(idx), cols.astype(idx), np.ones(nnz, np.int64),
+                      indptr, indices, data)
+    kernels.csr_sort_indices(n, indptr, indices, data)
+    kernels.csr_sum_duplicates(n, n, indptr, indices, data)
+    return indptr, indices[:indptr[-1]], data[:indptr[-1]]
+
+
+def _csr_square(n: int, indptr, indices, data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M @ M of the n x n CSR matrix M, by the compiled calls scipy's product makes."""
+    kernels = sparse_kernels()
+    nnz = kernels.csr_matmat_maxnnz(n, n, indptr, indices, indptr, indices)
+    idx = _index_dtype(n, nnz)
+    indptr, indices = indptr.astype(idx, copy=False), indices.astype(idx, copy=False)
+    ptr, ind, dat = np.empty(n + 1, idx), np.empty(nnz, idx), np.empty(nnz, np.int64)
+    kernels.csr_matmat(n, n, indptr, indices, data, indptr, indices, data, ptr, ind, dat)
+    return ptr, ind[:ptr[-1]], dat[:ptr[-1]]
 
 
 def _carry(X: np.ndarray, Y: np.ndarray, b: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .automaton import PointedLabeledGraph, reach, validate
+from .automaton import PointedLabeledGraph, reach, sparse_kernels, validate
 from .errors import RefusalError
 
 if TYPE_CHECKING:
@@ -150,7 +150,9 @@ class CharPoly:
 def adjacency(g: PointedLabeledGraph) -> "csr_matrix":
     """Edge multiplicities as an int64 sparse matrix in the graph's own vertex order.
 
-    Loads scipy.sparse on first call; `import cantor3` does not.
+    The one place cantor3 imports scipy.sparse, on first call: the path
+    counts and the power iteration call scipy's compiled routines through
+    automaton.sparse_kernels, which does not.
     """
     from scipy.sparse import csr_matrix
 
@@ -329,10 +331,11 @@ def _power_iteration(rows, cols, k: int, tol: float):
     Nothing is allocated per product: two vectors swap within a round and
     the quotients go into a third, which also holds c x. Each product is
     scipy's compiled csr_matvec into a zeroed vector, the call A @ x makes,
-    then c x is added, so every float is that of A @ x + c * x.
+    then c x is added, so every float is that of A @ x + c * x. The routine
+    comes from automaton.sparse_kernels, which loads it without importing
+    scipy.sparse.
     """
-    from scipy.sparse._sparsetools import csr_matvec
-
+    csr_matvec = sparse_kernels().csr_matvec
     indptr = np.zeros(k + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=k), out=indptr[1:])
     indices = np.asarray(cols, dtype=np.int32)[np.argsort(rows, kind="stable")]

@@ -5,6 +5,7 @@ import os
 import random
 import sys
 import threading
+import time
 from collections import deque
 from contextlib import contextmanager, nullcontext
 from unittest.mock import patch
@@ -541,8 +542,7 @@ def test_count_paths_cutoff_examples_sit_on_both_sides():
 def test_csr_matvec_accumulates_int64_products(index_dtype):
     # _limb_steps relies on scipy's private compiled product adding A x
     # into y, in int64, whatever the index width scipy picks for a matrix
-    from scipy.sparse._sparsetools import csr_matvec
-
+    csr_matvec = automaton.sparse_kernels().csr_matvec
     indptr = np.array([0, 2, 2, 5], dtype=index_dtype)
     indices = np.array([0, 2, 1, 1, 2], dtype=index_dtype)
     data = np.array([1, 3, 2, 5, 2**40], dtype=np.int64)
@@ -625,6 +625,31 @@ def test_count_paths_raises_the_forward_half_failure(monkeypatch):
         count_paths(g, 300)
     assert failure.value.args[0] != threading.current_thread().name
     assert threading.active_count() == before
+
+
+def test_count_paths_loads_the_kernels_once_before_the_split(monkeypatch):
+    events, load, limb_steps = [], automaton._load_sparse_kernels, automaton._limb_steps
+
+    def counted():
+        events.append(("load", threading.current_thread()))
+        time.sleep(0.05)  # time for the other half to ask for the kernels too
+        return load()
+
+    def recorded(rows, cols, X, k):
+        events.append(("half", threading.current_thread()))
+        return limb_steps(rows, cols, X, k)
+
+    monkeypatch.setattr(automaton, "_SPARSE_KERNELS", None)
+    monkeypatch.setattr(automaton, "_load_sparse_kernels", counted)
+    monkeypatch.setattr(automaton, "_limb_steps", recorded)
+    g = build_multi([3**7 + 1])
+    with _split_forced():
+        assert count_paths(g, 300) == _count_paths_loop(g, 300)
+    me = threading.current_thread()
+    # one load, in this thread, before either half starts; the halves on two threads
+    assert events[0] == ("load", me)
+    assert sorted(kind for kind, _ in events) == ["half", "half", "load"]
+    assert {t is me for kind, t in events if kind == "half"} == {True, False}
 
 
 def test_split_halves_under_concurrent_callers():

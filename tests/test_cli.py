@@ -535,7 +535,8 @@ def test_python_dash_m_cantor3_runs_the_cli():
 _LOADED = """
 import contextlib, io, json, sys
 import cantor3.cli as cli
-from cantor3 import build_multi, count_paths, parse_multiplier_list
+from cantor3 import adjacency, build_multi, count_paths, parse_multiplier_list
+from cantor3.automaton import LIMB_KERNEL_EDGES
 
 def loaded(after):
     mods = ("scipy", "scipy.sparse", "multiprocessing")
@@ -550,6 +551,12 @@ for argv in (["dim", "7"], ["scan", "1..300", "--csv"], ["contain", "Y", "N:3"],
     if argv[0] == "blocks":
         count_paths(build_multi(parse_multiplier_list("N:3")), 200)
         loaded("count_paths")
+g = build_multi(parse_multiplier_list("N:10"))
+assert g.edge_count >= LIMB_KERNEL_EDGES  # the limb kernel, not the loop
+count_paths(g, 200)
+loaded("count_paths N:10")
+adjacency(g)
+loaded("adjacency")
 """
 
 
@@ -559,10 +566,37 @@ def test_scipy_and_multiprocessing_load_only_where_used():
     loaded = dict(json.loads(line) for line in proc.stdout.splitlines())
     light = ["import", "dim 7", "scan 1..300 --csv", "contain Y N:3", "iso L:2,L:4 L:4",
              "blocks 7 --n 12", "count_paths"]
-    assert list(loaded) == light + ["dim N:10"]
-    assert all(loaded[k] == [] for k in light), loaded
-    # N:10 is one 1024-vertex component, past the dense limit: sparse power iteration
-    assert "scipy.sparse" in loaded["dim N:10"]
+    sparse = ["dim N:10", "count_paths N:10"]
+    assert list(loaded) == light + sparse + ["adjacency"]
+    # N:10 is one 1024-vertex component, past the dense limit, so dim runs the
+    # sparse power iteration, and its count the limb kernel: both call scipy's
+    # compiled routines without importing scipy
+    assert all(loaded[k] == [] for k in light + sparse), loaded
+    assert loaded["adjacency"] == ["scipy", "scipy.sparse"]
+
+
+_KERNELS_THEN_SCIPY = """
+import sys
+from pathlib import Path
+from cantor3.automaton import sparse_kernels
+kernels = sparse_kernels()
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+import numpy as np
+import scipy.sparse
+own = scipy.sparse._sparsetools
+assert own is not kernels and own.__name__ == "scipy.sparse._sparsetools"
+assert kernels.__file__ == own.__file__
+assert Path(kernels.__file__).parent == Path(scipy.sparse.__file__).parent
+a = scipy.sparse.csr_matrix(np.array([[0, 1], [1, 1]]))
+assert (a @ a).toarray().tolist() == [[1, 1], [1, 2]]
+"""
+
+
+def test_sparse_kernels_leave_scipy_sparse_importable():
+    # the kernels load under cantor3's own module name: scipy's package,
+    # imported afterwards, still loads and binds its own copy of the file
+    proc = python("-c", _KERNELS_THEN_SCIPY)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_scan_csv_is_pinned(capsys):
