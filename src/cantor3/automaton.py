@@ -742,8 +742,9 @@ def build_multi_direct(ms, max_vertices: int = DEFAULT_MAX_VERTICES) -> PointedL
 
 # Graphs with fewer edges than this count paths in the per-edge Python loop:
 # there the kernel's fixed cost, two sparse matrices and their squares
-# (about 0.18 ms), is more than the whole loop. The value is the measured
-# crossover; see README "Path counts".
+# (about 0.06-0.09 ms on the 6 edges of 7), is more than the whole loop. The
+# crossover depends on the word length; the value lies between the measured
+# ones, see README "Path counts".
 LIMB_KERNEL_EDGES = 128
 
 # From this many edge steps (edges times word length) up, and with at least

@@ -18,7 +18,6 @@ from .automaton import (
     build_multi,
     to_dot,
     to_json,
-    usable_cpus,
 )
 from .checks import SUITES, run_suite
 from .errors import ParseError, RefusalError
@@ -123,19 +122,20 @@ def _expand_scan_specs(tokens):
     return [row for _, rows in parts for row in rows]
 
 
-def _scan_row(task):
-    """One scan row; a refusal (the vertex cap, the power-iteration product
-    cap) becomes the row's error column, and any other exception propagates."""
-    label, values, max_vertices = task
+def _scan_row(ms, label, max_vertices, precision):
+    """One scan row, its numbers rendered; a refusal (the vertex cap, the
+    power-iteration product cap) becomes the row's error column, and any
+    other exception propagates."""
     t0 = perf_counter()
     try:
-        g = build_multi(values, max_vertices=max_vertices)
+        g = build_multi(ms, max_vertices=max_vertices)
         r = hausdorff_dim(g)
-        elapsed = int((perf_counter() - t0) * 1000)
-        return (label, g.n, r.scc_count, r.beta, r.dim, r.error_bound, elapsed, "")
     except RefusalError as e:
-        elapsed = int((perf_counter() - t0) * 1000)
-        return (label, "", "", "", "", "", elapsed, str(e))
+        return (label, "", "", "", "", "", int((perf_counter() - t0) * 1000), str(e))
+    elapsed = int((perf_counter() - t0) * 1000)
+    p = precision
+    return (label, g.n, r.scc_count, f"{r.beta:.{p}f}", f"{r.dim:.{p}f}", f"{r.error_bound:.1e}",
+            elapsed, "")
 
 
 def cmd_dim(args) -> int:
@@ -157,43 +157,20 @@ def cmd_dim(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    tasks = [
-        (label, tuple(m.value for m in ms), args.max_vertices)
-        for ms, label in _expand_scan_specs(args.specs)
-    ]
-    # the pool forks every worker up front, so never ask for more than can run
-    jobs = min(args.jobs, usable_cpus(), len(tasks))
-    if jobs > 1:
-        # imported here: the pool pulls in multiprocessing, which serial runs never use
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_scan_row, tasks))
-    else:
-        rows = [_scan_row(t) for t in tasks]
-    p = args.precision
-
-    def _render(row):
-        label, n, s, beta, dim, eb, elapsed, err = row
-        if err:
-            return (label, n, s, beta, dim, eb, elapsed, err)
-        return (label, n, s, f"{beta:.{p}f}", f"{dim:.{p}f}", f"{eb:.1e}", elapsed, err)
-
+    rows = _expand_scan_specs(args.specs)  # every row parsed and counted before the first runs
     if args.csv:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(_render(row))
-    else:
-        for row in rows:
-            label, n, s, beta, dim, eb, elapsed, err = _render(row)
-            if err:
-                print(f"{label} error: {err}")
-            else:
-                print(
-                    f"{label} vertices={n} sccs={s} beta={beta} dim={dim}"
-                    f" error_bound={eb} elapsed_ms={elapsed}"
-                )
+    for ms, label in rows:
+        row = _scan_row(ms, label, args.max_vertices, args.precision)
+        if args.csv:
+            writer.writerow(row)
+        elif row[-1]:
+            print(f"{label} error: {row[-1]}")
+        else:
+            _, n, s, beta, dim, eb, elapsed, _ = row
+            print(f"{label} vertices={n} sccs={s} beta={beta} dim={dim}"
+                  f" error_bound={eb} elapsed_ms={elapsed}")
     return 0
 
 
@@ -234,13 +211,15 @@ def cmd_iso(args) -> int:
 def cmd_family(args) -> int:
     fam = parse_family(args.family)
     value = family_value(fam)
+    exp = None  # P_k has no closed form
+    if fam.kind != "P":  # before the build, so that N_k past k = 20 is refused without one
+        exp = expect_L(fam.k) if fam.kind == "L" else expect_N(fam.k)
     g = build_multi([value], max_vertices=args.max_vertices)
     r = hausdorff_dim(g)
     p = args.precision
-    if fam.kind == "P":
+    if exp is None:
         print(f"{fam} value={value} dim={r.dim:.{p}f} vertices={g.n} (no closed form)")
         return 0
-    exp = expect_L(fam.k) if fam.kind == "L" else expect_N(fam.k)
     dim_ok = abs(r.dim - exp.expected_dim) <= FAMILY_DIM_TOL
     shape_ok = g.n == exp.expected_vertices and r.scc_count == exp.expected_scc_count
     status = "ok" if dim_ok and shape_ok else "MISMATCH"
@@ -286,8 +265,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("specs", nargs="+",
                     help="tuple specs or ranges of singles: '7,19' '4..40' 'L:1..9'")
     sp.add_argument("--csv", action="store_true", help="emit CSV with a header row")
-    sp.add_argument("--jobs", type=_positive_int, default=1,
-                    help="parallel workers (output order fixed)")
     reporting(sp)
     sp.set_defaults(func=cmd_scan)
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,6 +63,9 @@ def test_usage_error_exit_code(capsys):
     code = main(["nonsense"])
     capsys.readouterr()
     assert code == 1
+    # scan takes no --jobs: its rows run one after another in this process
+    code, out, err = run(capsys, "scan", "4..6", "--jobs", "2")
+    assert code == 1 and out == "" and "unrecognized arguments: --jobs 2" in err
 
 
 def test_refusal_exit_code(capsys):
@@ -91,16 +95,17 @@ def test_huge_multipliers_are_refused_while_parsing(monkeypatch, capsys):
     code, out, err = run(capsys, "scan", "L:9010..9020")  # the first rows fit, L:9014 does not
     assert code == 2 and out == "" and built == [] and "L:9014" in err
     # a number option is not a multiplier: a usage error
-    assert run(capsys, "scan", "7", "--jobs", "1" * 5001)[0] == 1
+    assert run(capsys, "scan", "7", "--max-vertices", "1" * 5001)[0] == 1
 
 
 @pytest.mark.parametrize("argv, code, message", [
     (["dim", "L:" + "9" * 4400], 2, "refused: "),
     (["scan", "L:1.." + "9" * 5001], 2, "refused: "),
     (["scan", "1.." + "9" * 5001], 2, "refused: "),
-    (["scan", "7", "--jobs", "9" * 5001], 1, "argument --jobs: expected a positive integer"),
+    (["scan", "7", "--max-vertices", "9" * 5001], 1,
+     "argument --max-vertices: expected a positive integer"),
     (["blocks", "7", "--n", "9" * 5001], 1, "argument --n: expected a positive integer"),
-], ids=["family-index", "family-range-end", "range-end", "jobs", "n"])
+], ids=["family-index", "family-range-end", "range-end", "max-vertices", "n"])
 def test_numbers_too_long_to_read_are_refused(monkeypatch, capsys, argv, code, message):
     # Python's default limit, also where a Python 3.10 has none
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
@@ -155,13 +160,6 @@ def test_precision_is_ascii_decimal_1_to_12(capsys, value):
     code, out, err = run(capsys, "dim", "7", "--precision", value)
     assert code == 1 and out == ""
     assert f"--precision: expected decimal places 1..12, got '{value}'" in err
-
-
-@pytest.mark.parametrize("value", ["0", "-2", "\u00b2"])
-def test_scan_jobs_must_be_positive(capsys, value):
-    code, out, err = run(capsys, "scan", "4..6", "--jobs", value)
-    assert code == 1 and out == ""
-    assert f"--jobs: expected a positive integer, got '{value}'" in err
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "1_000"])
@@ -329,16 +327,6 @@ def test_scan_raises_what_is_not_a_refusal(capsys, monkeypatch):
         run(capsys, "scan", "7", "19", "--csv")
 
 
-def test_scan_jobs_deterministic(capsys):
-    _, serial, _ = run(capsys, "scan", "4..13", "--csv")
-    _, parallel, _ = run(capsys, "scan", "4..13", "--csv", "--jobs", "3")
-
-    def strip_elapsed(text):
-        return [row[:6] for row in csv.reader(io.StringIO(text))]
-
-    assert strip_elapsed(serial) == strip_elapsed(parallel)
-
-
 def test_scan_matches_dim(capsys):
     _, dim_out, _ = run(capsys, "dim", "7,19")
     _, scan_out, _ = run(capsys, "scan", "7,19", "--csv")
@@ -401,6 +389,17 @@ def test_family_command(capsys):
     assert run(capsys, "family", "N:25")[0] == 2
 
 
+def test_family_refuses_before_building(monkeypatch, capsys):
+    import cantor3.cli as cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_multi", lambda *a, **k: built.append(a))
+    # the cap allows N_21's 2^21 vertices; the closed form's own limit does not
+    code, out, err = run(capsys, "family", "N:21", "--max-vertices", "3000000")
+    assert code == 2 and out == "" and built == []
+    assert "N_k presentations have 2^k vertices; k <= 20, got 21" in err
+
+
 def test_check_suites(capsys):
     code, out, _ = run(capsys, "check", "containment")
     assert code == 0
@@ -413,44 +412,6 @@ def test_check_oracle_suite(capsys):
     code, out, _ = run(capsys, "check", "oracle")
     assert code == 0
     assert "PASS oracle-agreement" in out
-
-
-def test_scan_jobs_clamped_to_cpus_and_tasks(monkeypatch, capsys):
-    import concurrent.futures
-
-    import cantor3.cli as cli
-
-    sizes = []
-
-    class RecordingPool:
-        """Stands in for the process pool; runs the rows in this process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    # cmd_scan imports the pool from concurrent.futures only when it runs one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 4)
-    _, serial, _ = run(capsys, "scan", "4..13", "--csv")
-    _, pooled, _ = run(capsys, "scan", "4..13", "--csv", "--jobs", "100000")
-    assert sizes == [4]
-    assert [r[:6] for r in csv.reader(io.StringIO(pooled))] == \
-        [r[:6] for r in csv.reader(io.StringIO(serial))]
-    run(capsys, "scan", "4..6", "--csv", "--jobs", "100000")
-    assert sizes == [4, 3]  # three rows need three workers at most
-    run(capsys, "scan", "7,19", "--csv", "--jobs", "100000")
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
-    run(capsys, "scan", "4..13", "--csv", "--jobs", "8")
-    assert sizes == [4, 3]  # one row, or one usable CPU, runs serially
 
 
 def test_one_tarjan_per_graph(monkeypatch, capsys):
@@ -522,6 +483,27 @@ def test_closed_pipe_ends_quietly_end_to_end():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_scan_streams_into_a_closed_pipe(tmp_path):
+    # each row is written once it is computed: a reader that leaves after the
+    # header and two rows ends a scan of 100 000 rows within seconds
+    with open(tmp_path / "stderr", "w+b") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "cantor3", "scan", "1..100000", "--csv"],
+                                stdout=subprocess.PIPE, stderr=err, env=src_env())
+        timer = threading.Timer(20, proc.kill)
+        timer.start()
+        try:
+            lines = [proc.stdout.readline() for _ in range(3)]
+            proc.stdout.close()
+            code = proc.wait()
+        finally:
+            timer.cancel()
+        err.seek(0)
+        assert code == 0 and err.read() == b""
+    assert lines[0] == ",".join(CSV_HEADER).encode() + b"\n"
+    assert [line.split(b",")[:5] for line in lines[1:]] == [
+        [b"1", b"1", b"1", b"2.000000", b"0.630930"], [b"2", b"1", b"1", b"1.000000", b"0.000000"]]
 
 
 def test_python_dash_m_cantor3_runs_the_cli():
