@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import sys
+from itertools import chain
 from time import perf_counter
 
 from .automaton import (
@@ -27,9 +28,10 @@ from .oracle import brute_count, brute_count_extendable, checked_blocks
 from .spectral import hausdorff_dim
 from .ternary import family_value, parse_decimal, parse_family, parse_multiplier, parse_multiplier_list
 
-# Every row of a scan is listed before the first one runs, so larger scans
-# are refused up front: 100 000 single rows take about 0.7 s and 50 MB to
-# list (2-vCPU Xeon).
+# A scan's rows are counted from its specs before the first one runs, and
+# larger scans are refused up front. Rows are made as the scan reaches
+# them, so the cap bounds a scan's run time, not its memory: rows near
+# M = 100 000 take about 10 ms each (2-vCPU Xeon).
 SCAN_ROW_LIMIT = 100_000
 
 # `family` reports ok when the computed dimension is within this of the
@@ -96,14 +98,18 @@ def _expand_scan_specs(tokens):
     """Each token is a tuple spec or a range of singles: '4..40', 'L:1..9'.
 
     A range's rows are counted from its ends, and a scan of more than
-    SCAN_ROW_LIMIT rows is refused before any row is built.
+    SCAN_ROW_LIMIT rows is refused before any row is built. Then each
+    range's top end, its longest multiplier, is parsed, so a range whose
+    members are too long to print is refused before the first row; the
+    rows themselves are made as the scan reads them.
     """
-    parts = []  # (row count, rows) per token; a range's rows are made once all are counted
+    parts, ranges, count = [], [], 0  # each token's rows; each range's (prefix, lo, hi)
     for tok in tokens:
         tok = tok.strip()
         if ".." not in tok:
             ms = parse_multiplier_list(tok)
-            parts.append((1, [(ms, _echo(ms))]))
+            parts.append([(ms, _echo(ms))])
+            count += 1
             continue
         head, _, tail = tok.partition("..")
         bad = f"bad range {tok!r}"
@@ -115,11 +121,33 @@ def _expand_scan_specs(tokens):
         hi = parse_decimal(tail, bad)
         if lo < 1 or hi < lo:
             raise ParseError(bad)
-        parts.append((hi - lo + 1, _singles(prefix, lo, hi)))
-    count = sum(c for c, _ in parts)
+        ranges.append((prefix, lo, hi))
+        parts.append(_singles(prefix, lo, hi))
+        count += hi - lo + 1
     if count > SCAN_ROW_LIMIT:
         raise RefusalError(f"scan limited to {SCAN_ROW_LIMIT} rows, got {count}")
-    return [row for _, rows in parts for row in rows]
+    for ends in ranges:
+        _check_top_end(*ends)
+    return chain.from_iterable(parts)
+
+
+def _check_top_end(prefix: str, lo: int, hi: int) -> None:
+    """Parse the top end of the range prefix+lo .. prefix+hi. When it is
+    refused, refuse the range's first member that is, as a scan would reach
+    it: a member is too long to print exactly when it is at least some
+    bound, so a bisection finds the first one."""
+    try:
+        parse_multiplier(f"{prefix}{hi}")
+    except RefusalError:
+        fits = lo - 1  # members up to fits are parsed; hi is refused
+        while hi - fits > 1:
+            mid = (fits + hi) // 2
+            try:
+                parse_multiplier(f"{prefix}{mid}")
+                fits = mid
+            except RefusalError:
+                hi = mid
+        parse_multiplier(f"{prefix}{hi}")  # raises the first member's refusal
 
 
 def _scan_row(ms, label, max_vertices, precision):
@@ -157,7 +185,7 @@ def cmd_dim(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    rows = _expand_scan_specs(args.specs)  # every row parsed and counted before the first runs
+    rows = _expand_scan_specs(args.specs)  # counted and checked; each row is made as it runs
     if args.csv:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(CSV_HEADER)

@@ -25,6 +25,10 @@ RETURN_LIMIT = 36
 PROBE_LIMIT = 4096  # most carry states brute_count_extendable probes past
 EXCEEDS_MAX_DEN = 1024
 SLICE = 1 << 16  # most prefixes _count extends at once
+# Levels of _count narrower than this are Python lists, wider ones numpy
+# arrays: numpy's fixed cost per call loses on a few dozen prefixes. The
+# value is the measured crossover, see README "Block counts".
+ARRAY_LEVEL_WIDTH = 32
 INT64_MAX = 2 ** 63 - 1
 
 
@@ -64,28 +68,40 @@ def checked_blocks(ms, n: int) -> tuple[int, ...]:
 
 
 def _count(values, n: int, accept=None) -> int:
-    """Admissible words in {0,1}^n, extended level by level as arrays.
+    """Admissible words in {0,1}^n, extended level by level.
 
-    Each stack entry holds the admissible prefixes of one length as an
-    array of values x. Extending by digit b adds b * 3^pos; the entries
-    whose new product digit is 0 or 1 for every multiplier survive. Arrays
-    longer than SLICE are split before they are extended, so memory stays
-    bounded for every n. Multipliers are reduced mod 3^n first; int64
-    holds every product when max(M mod 3^n) * 3^n fits, and Python-int
-    object arrays keep the rest exact.
+    Each stack entry holds the admissible prefixes of one length as their
+    values x. Extending by digit b adds b * 3^pos; the entries whose new
+    product digit is 0 or 1 for every multiplier survive. A level narrower
+    than ARRAY_LEVEL_WIDTH is a list of Python ints, extended in plain
+    integer arithmetic, since numpy's per-call cost outweighs its speed on
+    a few dozen prefixes; the first level that reaches the width becomes
+    an array, and its descendants stay arrays. Arrays longer than SLICE
+    are split before they are extended, so memory stays bounded for every
+    n. Multipliers are reduced mod 3^n first; int64 holds every product
+    when max(M mod 3^n) * 3^n fits, and Python-int object arrays keep the
+    rest exact. The width is the one measured in README "Block counts".
     With accept given, only the words x (read to depth n, p3 = 3^n) for
     which accept(x, p3) holds are counted.
     """
     mods = [M % 3 ** n for M in values]
     dtype = np.int64 if max(mods) * 3 ** n <= INT64_MAX else object
     count = 0
-    stack = [(0, np.zeros(1, dtype=dtype), 1)]
+    stack = [(0, [0], 1)]
     while stack:
         pos, x, p3 = stack.pop()
         if pos == n:
             count += len(x) if accept is None else sum(
-                1 for w in x.tolist() if accept(w, p3))
+                1 for w in (x if isinstance(x, list) else x.tolist()) if accept(w, p3))
             continue
+        if isinstance(x, list):
+            if len(x) < ARRAY_LEVEL_WIDTH:
+                x = x + [w + p3 for w in x]
+                for M in mods:
+                    x = [w for w in x if (M * w // p3) % 3 <= 1]
+                stack.append((pos + 1, x, p3 * 3))
+                continue
+            x = np.array(x, dtype=dtype)
         if len(x) > SLICE:
             stack.extend((pos, x[i:i + SLICE], p3) for i in range(0, len(x), SLICE))
             continue

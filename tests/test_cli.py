@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from cantor3.cli import CSV_HEADER, main
+from cantor3.errors import RefusalError
 
 
 def run(capsys, *argv):
@@ -342,7 +344,8 @@ def test_scan_rejects_bad_range(capsys):
     assert run(capsys, "scan", "x..y")[0] == 1
 
 
-def test_scan_refuses_oversized_before_building_rows(monkeypatch, capsys):
+def _recorded_parses(monkeypatch) -> list:
+    """The labels cli parses one multiplier at a time, in order, from now on."""
     import cantor3.cli as cli
 
     built = []
@@ -353,16 +356,50 @@ def test_scan_refuses_oversized_before_building_rows(monkeypatch, capsys):
         return parse(text)
 
     monkeypatch.setattr(cli, "parse_multiplier", recording)
+    return built
+
+
+def test_scan_refuses_oversized_before_building_rows(monkeypatch, capsys):
+    import cantor3.cli as cli
+
+    built = _recorded_parses(monkeypatch)
     code, out, err = run(capsys, "scan", "1..1000000000")
     assert code == 2 and out == "" and built == []
     assert f"scan limited to {cli.SCAN_ROW_LIMIT} rows, got 1000000000" in err
-    # tuple specs and family ranges count too: 3 + 1 + 1 rows at a cap of 5
+    # tuple specs and family ranges count too: 3 + 1 + 1 rows at a cap of 5;
+    # each range's top end is parsed once before its rows are made
     monkeypatch.setattr(cli, "SCAN_ROW_LIMIT", 5)
     assert run(capsys, "scan", "1..3", "7,19", "L:1..1")[0] == 0
-    assert built == ["1", "2", "3", "L:1"]
+    assert built == ["3", "L:1", "1", "2", "3", "L:1"]
     code, _, err = run(capsys, "scan", "1..4", "7,19", "L:1..1")
     assert code == 2 and "scan limited to 5 rows, got 6" in err
-    assert built == ["1", "2", "3", "L:1"]
+    assert built == ["3", "L:1", "1", "2", "3", "L:1"]
+
+
+def test_scan_rows_are_made_as_they_are_read(monkeypatch):
+    import cantor3.cli as cli
+
+    built = _recorded_parses(monkeypatch)
+    rows = cli._expand_scan_specs(["1..100000"])
+    assert [label for _, label in itertools.islice(rows, 2)] == ["1", "2"]
+    assert built == ["100000", "1", "2"]
+
+
+def test_scan_range_refused_at_its_top_end_writes_no_row(monkeypatch, capsys):
+    import cantor3.cli as cli
+
+    parse = cli.parse_multiplier
+
+    def refusing(text):
+        # stands in for a top end too long to print, which every lower end passes
+        if text == "L:9":
+            raise RefusalError("the top end is too long")
+        return parse(text)
+
+    monkeypatch.setattr(cli, "parse_multiplier", refusing)
+    for argv in (["scan", "L:1..9"], ["scan", "4..6", "L:1..9", "--csv"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "the top end is too long" in err
 
 
 def test_precision_only_on_commands_that_print_numbers(capsys):

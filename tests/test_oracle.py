@@ -203,6 +203,39 @@ def test_both_sides_of_the_int64_bound():
         assert brute_count([7, M], n) == _count_reference([7, M], n)
 
 
+# Levels narrower than ARRAY_LEVEL_WIDTH are Python lists, wider ones arrays:
+# width 1 is arrays only, a width above every level is lists only, and the
+# shipped width with SLICE = 8 takes one call from lists to arrays to slices.
+_WIDTHS = pytest.mark.parametrize("width", [1, oracle.ARRAY_LEVEL_WIDTH, 1 << 30],
+                                  ids=["arrays", "shipped", "lists"])
+
+
+@_WIDTHS
+def test_count_across_the_array_width(monkeypatch, width):
+    monkeypatch.setattr(oracle, "ARRAY_LEVEL_WIDTH", width)
+    monkeypatch.setattr(oracle, "SLICE", 8)
+    # residue-2 members leave only the zero word; [2**40] at n = 22 is object dtype
+    for ms, n in (([7], 14), ([730], 12), ([7, 19], 13), ([5], 9), ([7, 11], 9),
+                  ([2**40], 22)):
+        count = brute_count(ms, n)
+        assert type(count) is int  # json.dumps takes it as it is
+        assert count == _count_reference(ms, n), (ms, n)
+    assert not _fits_int64([2**40], 22)
+    M = 3**20 - 2
+    assert not _fits_int64([M], 20)
+    assert brute_count([M], 20) == count_paths(build_multi([M]), 20) == 21
+
+
+@_WIDTHS
+def test_extendable_across_the_array_width(monkeypatch, width):
+    monkeypatch.setattr(oracle, "ARRAY_LEVEL_WIDTH", width)
+    monkeypatch.setattr(oracle, "SLICE", 8)
+    for ms, n in (([730], 12), ([7, 19], 10), ([4, 49], 9), ([5], 6)):
+        count = brute_count_extendable(ms, n)
+        assert type(count) is int
+        assert count == count_paths(build_multi(ms), n), (ms, n)
+
+
 def test_frontier_larger_than_a_slice():
     # at n = 18 the 2^17 prefixes of length 17 are split before they are extended
     assert 2**17 > SLICE
