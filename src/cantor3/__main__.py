@@ -4,5 +4,5 @@ import sys
 
 from .cli import main
 
-if __name__ == "__main__":  # not when a process pool's spawned worker re-imports it
+if __name__ == "__main__":
     sys.exit(main())

@@ -26,15 +26,16 @@ multiplier and admits a digit that every multiplier admits.
 The construction is one breadth-first search over carry vectors, level by
 level, with each vertex's children in label order. Levels at least
 NUMPY_LEVEL_WIDTH wide are stepped in numpy, in key order, narrower ones in
-Python, vertex by vertex; both number new carry vectors in order of first
-occurrence, so the vertex order is the same either way. A numpy level
-finds that order by marking each new key's first table cell, without a
-sort; a level whose children are all new, each once, as in a tree-like
-search, skips the gathers that would be an identity on it. With one
-multiplier the key is the carry itself, so the children and the carry
-matrix come straight from the keys, in one dimension. The narrow levels
-after a numpy phase look their children up in the sorted key index that
-phase holds, one searchsorted per level.
+one Python step, vertex by vertex over a dict of keys; both number new
+carry vectors in order of first occurrence, so the vertex order is the same
+either way. A numpy level finds that order by marking each new key's first
+table cell, without a sort; a level whose children are all new, each once,
+as in a tree-like search, skips the gathers that would be an identity on
+it. With one multiplier the key is the carry itself, so the children and
+the carry matrix come straight from the keys, in one dimension. After a
+numpy phase each narrow level first puts into the dict the entries of its
+candidate children in the sorted key index that phase holds, one
+searchsorted per level.
 
 That vertex order, breadth-first from the start with children in label
 order and each vertex at its first occurrence, is every builder's, and it
@@ -60,8 +61,8 @@ DEFAULT_MAX_VERTICES = 2_000_000
 
 # Levels of the carry search at least this wide are stepped in numpy, in
 # key order against a sorted array of the carry vectors seen so far;
-# narrower levels run a per-vertex Python loop, over a dict before the
-# first numpy phase and over that sorted array after it. A numpy level
+# narrower levels run a per-vertex Python loop over a dict, which after a
+# numpy phase each level fills from that sorted array. A numpy level
 # pays a fixed cost in numpy calls, so it loses on narrow levels; the value
 # is the crossover measured for an earlier, costlier numpy step, see README
 # "Construction".
@@ -312,22 +313,23 @@ class _CarrySearch:
     A carry vector (N_1, ..., N_r) is keyed by the mixed-radix integer
     sum N_j * stride_j with digit j in 0..M_j div 2, the carry itself for
     one multiplier. Where a key or a carry plus its multiplier could pass
-    2^62 the keys are Python ints, and only the Python steps run. Every
+    2^62 the keys are Python ints, and only the Python step runs. Every
     vertex's children come in label order and the new keys of a level are
-    numbered in order of first occurrence, in the Python steps and the
+    numbered in order of first occurrence, in the Python step and the
     numpy steps alike. All write one store, the table rows and keys in
     row_chunks and key_chunks, in vertex order.
 
-    The search has three kinds of step. python_levels steps the narrow
-    levels from the start's, over a dict of keys. The numpy steps hold a
-    level in key order, as the sorted new keys of the level before and
-    the vertex of each, and look up its children in a sorted key index,
-    merged once per level that has new keys; key_order sorts every stored
-    key into that index, and a level handed over, when a phase begins.
-    tail_levels steps the narrow levels after a numpy phase in
-    breadth-first order, looking each level's children up in that index
-    and its own keys in a small dict, and lets the index go when it ends;
-    it hands a wide level back as the last key chunk.
+    The search alternates two kinds of step. python_levels steps a run of
+    narrow levels in breadth-first order over a dict of keys: the first
+    run from the start's level, and each later one from the last level of
+    a numpy phase. It hands a wide level over as the end of its key
+    chunk. The numpy steps hold a level in key order, as the sorted new
+    keys of the level before and the vertex of each, and look up its
+    children in a sorted key index, merged once per level that has new
+    keys; key_order sorts every stored key into that index, and the level
+    handed over, when a phase begins. The index lives until the Python
+    step after the phase ends, which fills its dict from it level by
+    level.
     """
 
     def __init__(self, values, max_vertices, what):
@@ -338,6 +340,7 @@ class _CarrySearch:
         self.lift = sum((M - 1) * s for M, s in zip(values, self.strides))  # key of (M_j - 1)
         self.n = 1
         self.row_chunks, self.key_chunks = [], []  # the table and the keys, in vertex order
+        self.sorted_keys = self.sorted_ids = None  # the numpy steps' index, while it lives
 
     def radix(self) -> list[np.ndarray]:
         """values, strides and bases as arrays, made where several
@@ -349,15 +352,12 @@ class _CarrySearch:
         raise RefusalError(f"carry automaton for {self.what} exceeds {self.max_vertices} vertices")
 
     def run(self) -> tuple[np.ndarray, np.ndarray]:
-        level = [0]  # keys of the current level in breadth-first order
-        while level:
-            if self.numeric and len(level) >= NUMPY_LEVEL_WIDTH:
-                keys, ids = self.key_order(level)
-                while len(keys) >= NUMPY_LEVEL_WIDTH:
-                    keys, ids = self.numpy_level(keys, ids)
-                level = self.tail_levels(self.key_chunks[-1].tolist())
-            else:
-                level = self.python_levels(level)
+        level = self.python_levels([0])
+        while level:  # at least NUMPY_LEVEL_WIDTH keys: a numpy phase
+            keys, ids = self.key_order(level)
+            while len(keys) >= NUMPY_LEVEL_WIDTH:
+                keys, ids = self.numpy_level(keys, ids)
+            level = self.python_levels(self.key_chunks[-1].tolist())
         return _join(self.row_chunks), self.carries(_join(self.key_chunks))
 
     def carries(self, keys: np.ndarray) -> np.ndarray:
@@ -372,17 +372,36 @@ class _CarrySearch:
         return C if self.numeric else _int_array(C.tolist(), len(self.values))
 
     def python_levels(self, level: list) -> list:
-        """Step levels narrower than NUMPY_LEVEL_WIDTH from the start's; return
-        the first wider one, or []. Only the first phase of a search runs here."""
-        index, rows, cap, n = {0: 0}, [], self.max_vertices, 1
+        """Step the levels narrower than NUMPY_LEVEL_WIDTH from `level`, the
+        last len(level) vertices: the start's, or a numpy phase's last level.
+        Return the first wider level, or [].
+
+        Each child, vertex by vertex in label order, is looked up in a dict
+        of keys and numbered next when it is not there. After a numpy phase
+        each level first puts into the dict its children's entries in the
+        phase's sorted index, one searchsorted a level; the index is let go
+        when the step ends.
+        """
+        seen, seen_ids = self.sorted_keys, self.sorted_ids
+        self.sorted_keys = self.sorted_ids = None
+        index, rows, cap, n = {0: 0}, [], self.max_vertices, self.n
         width = NUMPY_LEVEL_WIDTH if self.numeric else math.inf
         M = self.values[0] if len(self.values) == 1 else None
-        queue, end = level, len(level)  # the current level ends at queue[end]
+        stored = len(level) if self.key_chunks else 0  # the first step stores the start key
+        queue, end = level, 0  # the current level ends at queue[end]
         for i, key in enumerate(queue):  # the BFS queue: appended to while it is walked
             if i == end:
                 if len(queue) - end >= width:
                     break
                 end = len(queue)
+                if seen is not None:
+                    kids = self.candidates(np.array(queue[i:], dtype=np.int64))
+                    # the method, not np.searchsorted: its dispatch costs about 0.5 us a level
+                    pos = seen.searchsorted(kids)
+                    # the entry at each candidate's place in the index: its own where
+                    # the index holds it, else another key's, true too, or the
+                    # sentinel's, whose key is no carry vector's
+                    index.update(zip(seen[pos].tolist(), seen_ids[pos].tolist()))
             if M is not None:  # one multiplier, inline: a call per vertex costs about 15 %
                 m = key % 3
                 kids = (key // 3 if m <= 1 else None, (key + M) // 3 if m != 1 else None)
@@ -401,57 +420,10 @@ class _CarrySearch:
                     queue.append(c)
                 rows.append(d)
             rows.append(-1)  # no carry construction reads label 2
-        else:
-            end = len(queue)
         self.n = n
         self.row_chunks.append(np.array(rows, dtype=np.int32).reshape(-1, 3))
-        self.key_chunks.append(np.array(queue, dtype=np.int64 if self.numeric else object))
+        self.key_chunks.append(np.array(queue[stored:], dtype=np.int64 if self.numeric else object))
         return queue[end:]
-
-    def tail_levels(self, level: list) -> list:
-        """Step the levels narrower than NUMPY_LEVEL_WIDTH that follow a numpy
-        phase, `level` first; return the first wider one, or [].
-
-        A level's children, vertex by vertex in label order, are looked up
-        in the numpy phase's sorted index by one searchsorted, and those not
-        there in a dict of the keys the tail numbered; a key in neither is
-        numbered next. The index is let go when the tail ends.
-        """
-        seen, seen_ids, n, cap = self.sorted_keys, self.sorted_ids, self.n, self.max_vertices
-        self.sorted_keys = self.sorted_ids = None
-        M = self.values[0] if len(self.values) == 1 else None
-        fresh = {-1: -1}  # the keys numbered here, and -1, no edge
-        queue, rows = level, []  # two cells a vertex, labels 0 and 1
-        begin = 0
-        end = done = len(queue)  # the current level is queue[begin:end]
-        while 0 < end - begin < NUMPY_LEVEL_WIDTH:
-            kids = []
-            for key in queue[begin:end]:
-                if M is not None:
-                    m = key % 3
-                    kids += (key // 3 if m <= 1 else -1, (key + M) // 3 if m != 1 else -1)
-                else:
-                    kids += [-1 if c is None else c for c in self.kids(key)]
-            # the method, not np.searchsorted: its dispatch costs about 0.5 us a level
-            pos = seen.searchsorted(np.array(kids, dtype=np.int64))  # -1 lands on key 0
-            for c, k, d in zip(kids, seen[pos].tolist(), seen_ids[pos].tolist()):
-                if c != k:  # not in the index
-                    d = fresh.get(c)
-                    if d is None:
-                        if n >= cap:
-                            self.refuse()
-                        d = fresh[c] = n
-                        n += 1
-                        queue.append(c)
-                rows.append(d)
-            begin, end = end, len(queue)
-        if rows:
-            table = np.full((len(rows) // 2, 3), -1, dtype=np.int32)
-            table[:, :2] = np.reshape(rows, (-1, 2))
-            self.row_chunks.append(table)
-            self.key_chunks.append(np.array(queue[done:], dtype=np.int64))
-            self.n = n
-        return queue[begin:end]
 
     def kids(self, key) -> tuple:
         """The keys reached from carry vector `key` by labels 0 and 1, None where not admissible.
@@ -464,16 +436,25 @@ class _CarrySearch:
         return (None if 2 in rems else (key - R) // 3,
                 None if 1 in rems else (key + self.lift + R // 2) // 3)
 
+    def candidates(self, keys: np.ndarray) -> np.ndarray:
+        """The keys reached from `keys` by labels 0 and 1, admissible or not:
+        every carry N_j taken to N_j div 3 and to (N_j + M_j) div 3, each at
+        most M_j div 2. A superset of the children, for a third to a
+        quarter of the cost of children(), which checks and sorts them."""
+        if len(self.values) == 1:
+            return np.concatenate((keys, keys + self.values[0])) // 3
+        values, strides, bases = self.radix()
+        C = keys[:, None] // strides % bases
+        return np.concatenate((C, C + values)) // 3 @ strides
+
     def key_order(self, level: list) -> tuple[np.ndarray, np.ndarray]:
         """Sort every key seen into the index of the numpy steps, and put a level
-        from the Python steps in key order: its keys ascending, and the vertex of each.
+        from the Python step in key order: its keys ascending, and the vertex of each.
 
         The index ends in the sentinel key _KEY_LIMIT, above every key, so
         that searchsorted lands on an entry of it for every key. Its ids are
         int32, as in the table.
         """
-        if not self.key_chunks:  # the numpy steps go first: store the start key
-            self.key_chunks.append(np.zeros(1, dtype=np.int64))
         seen = _join(self.key_chunks)
         order = np.argsort(seen, kind="stable")
         self.sorted_keys = np.append(seen[order], _KEY_LIMIT)

@@ -854,16 +854,18 @@ PINNED_GRAPHS = {
 
 
 def test_refusal_inside_the_narrow_tail(monkeypatch):
-    # 2^20's last numpy level hands 137 keys to a tail of narrow levels that
-    # numbers the last vertices itself; a cap one short of the graph is met there
-    entered = []
-    tail = automaton._CarrySearch.tail_levels
+    # 2^20's last numpy level hands 100 keys to a Python step of narrow levels
+    # that numbers the last vertices itself; a cap one short of the graph is
+    # met there
+    entered = []  # the Python steps entered while a numpy phase's index is alive
+    python_levels = automaton._CarrySearch.python_levels
 
     def spy(search, level):
-        entered.append((search.n, len(level)))
-        return tail(search, level)
+        if search.sorted_keys is not None:
+            entered.append((search.n, len(level)))
+        return python_levels(search, level)
 
-    monkeypatch.setattr(automaton._CarrySearch, "tail_levels", spy)
+    monkeypatch.setattr(automaton._CarrySearch, "python_levels", spy)
     n = build_single(2**20).n
     entered.clear()
     with pytest.raises(RefusalError) as info:
@@ -879,8 +881,55 @@ def test_search_reproduces_pinned_graphs(name):
     assert hashlib.sha256(repr((g.start, g.vertices, g.edges)).encode()).hexdigest() == digest
 
 
+def test_search_reproduces_pinned_2_30():
+    # the largest graph whose narrow levels follow a numpy phase: sha256 of
+    # its little-endian table and carries as built before the Python steps
+    # were merged into one
+    g = build_multi([2**30])
+    assert (g.n, g.start, g.delta.dtype, g.carries.dtype) == (494324, 0, np.int32, np.int64)
+    data = g.delta.astype("<i4").tobytes() + g.carries.astype("<i8").tobytes()
+    assert (hashlib.sha256(data).hexdigest()
+            == "612706d071c048a7d4719b99d214efb597089f815e123ad7456524241ce7c08e")
+
+
 def _L(k):
     return (3**k - 1) // 2
+
+
+def test_search_matches_the_closed_form_of_N_k():
+    # N_k = 3^k + 1 is a k-bit shift register: the carry's ternary digits are
+    # 0 or 1 and move down a place each step, the digit read coming in at
+    # the top, while the breadth-first vertex number moves up a bit, the
+    # digit read coming in at the bottom. So vertex v reads label 0 to
+    # 2v mod 2^k, label 1 to 2v + 1 when v < 2^(k-1), and has the carry
+    # whose ternary digit k-1-j is bit j of v. Wide levels run in numpy
+    # from k = 8 on, with an empty Python step after their last one.
+    for k in range(1, 21):
+        g = build_multi([3**k + 1])
+        v = np.arange(2**k)
+        delta = np.full((2**k, 3), -1, dtype=np.int32)
+        delta[:, 0] = 2 * v % 2**k
+        delta[v < 2**(k - 1), 1] = 2 * v[v < 2**(k - 1)] + 1
+        carries = sum(((v >> j) & 1) * 3**(k - 1 - j) for j in range(k)).reshape(-1, 1)
+        assert g.start == 0 and g.delta.dtype == np.int32 and g.carries.dtype == np.int64, k
+        assert np.array_equal(g.delta, delta) and np.array_equal(g.carries, carries), k
+
+
+def test_search_matches_the_closed_form_of_L_k():
+    # L_k = (3^k - 1)/2 is one cycle through its k vertices: vertex 0 loops
+    # by label 0 and goes to vertex 1 by label 1, and every other vertex v
+    # goes to v + 1 mod k by label 0. Vertex v >= 1 has the carry
+    # (3^(k-v) - 1)/2, which passes int64 from L_42 on. Every level is one
+    # vertex wide, so only the Python step runs, over Python-int keys from
+    # L_40 on.
+    for k in [*range(2, 301), 1000, 2000]:
+        g = build_multi([_L(k)])
+        delta = np.full((k, 3), -1, dtype=np.int32)
+        delta[:, 0] = (np.arange(k) + 1) % k
+        delta[0] = 0, 1, -1
+        assert g.start == 0 and g.delta.dtype == np.int32 and np.array_equal(g.delta, delta), k
+        assert g.carries.dtype == (object if k >= 42 else np.int64), k
+        assert g.carries.tolist() == [[0]] + [[_L(j)] for j in range(k - 1, 0, -1)], k
 
 
 # L_39 and (N_5, L_35) key below 2^62, so their levels may run in numpy;
@@ -891,7 +940,7 @@ NEAR_THE_KEY_BOUND = [_L(39), _L(40), _L(41), _L(42), 3**5 + 1, _L(35), _L(36)]
 # searches that enter the numpy steps more than once at these gates
 SWITCHING_BACK = [([733], 4), ([2**16], 16)]
 
-# searches whose last numpy level hands narrow levels to the tail
+# searches whose last numpy level hands narrow levels to the Python step
 NARROW_TAIL = [([2**18], NUMPY_LEVEL_WIDTH), ([2**20], NUMPY_LEVEL_WIDTH),
                ([1000003], NUMPY_LEVEL_WIDTH), ([2**24, 2**26], NUMPY_LEVEL_WIDTH)]
 
@@ -906,6 +955,7 @@ LEVEL_CASES = [([3**9 + 1], NUMPY_LEVEL_WIDTH, {"no fresh key", "every child fre
                ([2**24, 2**26], NUMPY_LEVEL_WIDTH, _SOME_FRESH)]
 
 _numpy_level = automaton._CarrySearch.numpy_level
+_python_levels = automaton._CarrySearch.python_levels
 
 
 def _level_case(search, n):
@@ -944,6 +994,8 @@ def _level_case(search, n):
 @example([_L(39)], 1)  # one multiplier with keys near 2^62
 def test_search_matches_direct_construction(ms, width):
     cases = set()
+    searches = []
+    tails = []  # the levels handed to python_levels while a numpy phase's index is alive
 
     def step(search, keys, ids):
         n = search.n
@@ -951,20 +1003,28 @@ def test_search_matches_direct_construction(ms, width):
         cases.add(_level_case(search, n))
         return out
 
+    def python_step(search, level):
+        searches.append(search)
+        if search.sorted_keys is not None:
+            tails.append(len(level))
+        return _python_levels(search, level)
+
     # a narrower gate sends small graphs through the numpy steps too
     with patch.object(automaton, "NUMPY_LEVEL_WIDTH", width), \
             patch.object(automaton._CarrySearch, "key_order", autospec=True,
                          side_effect=automaton._CarrySearch.key_order) as numpy_phases, \
-            patch.object(automaton._CarrySearch, "tail_levels", autospec=True,
-                         side_effect=automaton._CarrySearch.tail_levels) as tails, \
+            patch.object(automaton._CarrySearch, "python_levels", autospec=True,
+                         side_effect=python_step), \
             patch.object(automaton._CarrySearch, "numpy_level", autospec=True,
                          side_effect=step):
         got = build_multi(ms)
     if (ms, width) in SWITCHING_BACK:
         # the sorted index is rebuilt on a switch back, and the graph still matches
         assert numpy_phases.call_count >= 2
+    # the index lives only through a numpy phase and the Python step after it
+    assert all(s.sorted_keys is None and s.sorted_ids is None for s in searches)
     if (ms, width) in NARROW_TAIL:
-        assert any(call.args[1] for call in tails.call_args_list)
+        assert any(tails)
     for case_ms, case_width, want_cases in LEVEL_CASES:
         if (ms, width) == (case_ms, case_width):
             assert want_cases <= cases
