@@ -20,7 +20,6 @@ from .families import (
     expect_L,
     expect_N,
 )
-from .checks import CheckResult, run_check, run_suite
 from .langops import ComparisonResult, is_subset, pointed_isomorphic
 from .oracle import admissible_word, brute_count, brute_count_extendable
 from .spectral import (
@@ -45,3 +44,17 @@ from .ternary import (
 )
 
 __version__ = "0.1.0"
+
+_FROM_CHECKS = ("CheckResult", "run_check", "run_suite")
+
+
+def __getattr__(name):
+    # The acceptance suite is imported on first use (PEP 562): most callers
+    # never run it, and a process without a bytecode cache would compile
+    # checks.py, about 4 ms, on every `import cantor3`.
+    if name in _FROM_CHECKS:
+        from . import checks
+
+        globals().update((n, getattr(checks, n)) for n in _FROM_CHECKS)
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -728,22 +728,7 @@ def build_multi_direct(ms, max_vertices: int = DEFAULT_MAX_VERTICES) -> PointedL
 # ones, see README "Path counts".
 LIMB_KERNEL_EDGES = 128
 
-# From this many edge steps (edges times word length) up, and with at least
-# two usable CPUs, the kernel's two halves run at once, the forward one in a
-# worker thread: their sparse products and int64 ufuncs release the GIL.
-# Below it the thread's start and hand-over cost more than the overlap
-# saves. The value is the measured crossover; see README "Path counts".
-SPLIT_HALVES_EDGE_STEPS = 1 << 21
-
 _INT64_MAX = (1 << 63) - 1
-
-
-def usable_cpus() -> int:
-    """How many CPUs this process may run on: its affinity mask where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
 
 _SPARSE_KERNELS = None
 _SPARSE_KERNELS_LOCK = threading.Lock()
@@ -793,8 +778,9 @@ def count_paths(g: PointedLabeledGraph, n: int) -> int:
     graphs with at least LIMB_KERNEL_EDGES edges an int64 multi-limb sparse
     kernel that counts the paths of length n // 2 from the start and the
     words of length n - n // 2 readable from each vertex, steps taken in
-    pairs, on two threads for large enough graphs and lengths, and takes
-    the exact dot product of the two.
+    pairs, one half after the other in the calling thread, and takes the
+    exact dot product of the two. It starts no thread; callers may count
+    from several threads at once.
     """
     if n < 0:
         raise ValueError(f"word length must be nonnegative, got {n}")
@@ -839,28 +825,15 @@ def _count_paths_limbs(g: PointedLabeledGraph, n: int) -> int:
     the paths of length h = n // 2 from the start to each vertex, and
     B = (A^T)^(n-h) 1, the words of length n - h readable from each vertex.
     Each half holds about half the bits of the count, so the limbs summed
-    over the steps are about half as many as in one n-step product. From
-    SPLIT_HALVES_EDGE_STEPS edge steps up, on two or more usable CPUs, the
-    forward half runs in a worker thread while this one runs the backward
-    half, so both halves' matrices are alive at once; elsewhere they run
-    one after the other. _exact_dot multiplies them out.
+    over the steps are about half as many as in one n-step product. The
+    forward half runs first, then the backward one, both in the calling
+    thread, so only F outlives the forward half's matrices and buffers;
+    _exact_dot multiplies the two out.
     """
     src, dst, _ = g.edge_arrays()
     h = n // 2
-    start = np.eye(g.n, 1, -g.start, dtype=np.int64)
-    ones = np.ones((g.n, 1), dtype=np.int64)
-    if len(src) * n >= SPLIT_HALVES_EDGE_STEPS and usable_cpus() >= 2:
-        # imported here: serial counts never load the thread pool
-        from concurrent.futures import ThreadPoolExecutor
-
-        sparse_kernels()  # loaded before the worker exists, which then never waits for it
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            forward = pool.submit(_limb_steps, dst, src, start, h)
-            B, bb = _limb_steps(src, dst, ones, n - h)
-            F, bf = forward.result()
-    else:
-        F, bf = _limb_steps(dst, src, start, h)
-        B, bb = _limb_steps(src, dst, ones, n - h)
+    F, bf = _limb_steps(dst, src, np.eye(g.n, 1, -g.start, dtype=np.int64), h)
+    B, bb = _limb_steps(src, dst, np.ones((g.n, 1), dtype=np.int64), n - h)
     return _exact_dot(F, bf, B, bb)
 
 

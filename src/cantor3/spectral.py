@@ -329,10 +329,11 @@ def _power_iteration(rows, cols, k: int, tol: float):
     edges grouped by row (duplicates are summed by the product).
 
     Nothing is allocated per product: two vectors swap within a round and
-    the quotients go into a third, which also holds c x. Each product is
-    scipy's compiled csr_matvec into a zeroed vector, the call A @ x makes,
-    then c x is added, so every float is that of A @ x + c * x. The routine
-    comes from automaton.sparse_kernels, which loads it without importing
+    the quotients go into a third. Each product is one np.multiply that
+    writes c x into the output vector, then scipy's compiled csr_matvec,
+    the call A @ x makes, which adds A x onto it: row i sums
+    (c x_i + a_1) + a_2 over its entries in edge order. The routine comes
+    from automaton.sparse_kernels, which loads it without importing
     scipy.sparse.
     """
     csr_matvec = sparse_kernels().csr_matvec
@@ -341,20 +342,18 @@ def _power_iteration(rows, cols, k: int, tol: float):
     indices = np.asarray(cols, dtype=np.int32)[np.argsort(rows, kind="stable")]
     data = np.ones(len(indices))
 
-    def shifted(x, out, t):  # out = A x + c x
-        out.fill(0.0)
+    def shifted(x, out):  # out = c x, then A x added onto it
+        np.multiply(x, POWER_SHIFT, out=out)
         csr_matvec(k, k, indptr, indices, data, x, out)
-        np.multiply(x, POWER_SHIFT, out=t)
-        np.add(out, t, out=out)
 
     v, u, t = np.ones(k), np.empty(k), np.empty(k)
     for step in range(0, _MAX_POWER_ITERATIONS, _POWER_ROUND):
-        shifted(v, u, t)
+        shifted(v, u)
         np.divide(u, v, out=t)
         if t.max() - t.min() <= tol:
             return v, step
         for _ in range(_POWER_ROUND - 1):
-            shifted(u, v, t)
+            shifted(u, v)
             u, v = v, u
         np.divide(u, u.max(), out=v)
     raise RefusalError(

@@ -1,13 +1,11 @@
 import hashlib
 import itertools
 import json
-import os
 import random
 import sys
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager, nullcontext
 from unittest.mock import patch
 
 import numpy as np
@@ -360,14 +358,6 @@ def test_count_paths_kernel_on_wide_fan_in():
     assert _count_paths_limbs(g, 200) == 3**200
 
 
-@contextmanager
-def _split_forced():
-    """The kernel's halves run on two threads, whatever the graph, the length and the CPUs."""
-    with patch.object(automaton, "SPLIT_HALVES_EDGE_STEPS", 0), \
-            patch.object(automaton, "usable_cpus", lambda: 2):
-        yield
-
-
 @st.composite
 def _label_tables(draw):
     """Small right-resolving graphs with sinks, duplicate edges and any start."""
@@ -391,10 +381,7 @@ _SINK_ROW = PointedLabeledGraph([(0,), (1,), (2,)], [(1, 0, 0), (1, 2, 1), (1, 2
 @example(_FULL_PAIR, 137)  # 68 steps forward, 69 backward
 @example(_SINK_ROW, 133)  # vertex 0 is a sink; duplicate edges 1 -> 2
 def test_count_paths_kernel_matches_loop_on_label_tables(g, n):
-    want = _count_paths_loop(g, n)
-    assert _count_paths_limbs(g, n) == want
-    with _split_forced():
-        assert _count_paths_limbs(g, n) == want
+    assert _count_paths_limbs(g, n) == _count_paths_loop(g, n)
 
 
 def test_exact_dot_at_the_piece_width_bound():
@@ -418,12 +405,10 @@ def test_count_paths_kernel_matches_oracle():
     trimmed = trim_essential(raw)
     pair = build_multi([7, 19])
     for n in (0, 1, 5, 10):
-        for halves in (nullcontext, _split_forced):
-            with halves():
-                assert _count_paths_limbs(g, n) == brute_count([m], n)
-                assert _count_paths_limbs(raw, n) == brute_count([4, 16], n)
-                assert _count_paths_limbs(trimmed, n) == brute_count_extendable([4, 16], n)
-                assert _count_paths_limbs(pair, n) == brute_count_extendable([7, 19], n)
+        assert _count_paths_limbs(g, n) == brute_count([m], n)
+        assert _count_paths_limbs(raw, n) == brute_count([4, 16], n)
+        assert _count_paths_limbs(trimmed, n) == brute_count_extendable([4, 16], n)
+        assert _count_paths_limbs(pair, n) == brute_count_extendable([7, 19], n)
 
 
 def _count_paths_loop_reference(g, n):
@@ -552,109 +537,46 @@ def test_csr_matvec_accumulates_int64_products(index_dtype):
     assert y.tolist() == [1 + 7 + 3 * 2**20, -2, 2**61 + 7 * 11 + 2**60]
 
 
-def _record_limb_threads(monkeypatch):
-    """Wraps _limb_steps; returns the list of (thread, forward?) of each call."""
-    calls, limb_steps = [], automaton._limb_steps
-
-    def recorded(rows, cols, X, k):
-        calls.append((threading.current_thread(), int(X.sum()) == 1))
-        return limb_steps(rows, cols, X, k)
-
-    monkeypatch.setattr(automaton, "_limb_steps", recorded)
-    return calls
-
-
-def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
-    assert automaton.usable_cpus() == 2
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert automaton.usable_cpus() == 8
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert automaton.usable_cpus() == 1
-
-
-def test_count_paths_splits_the_halves_above_the_crossover(monkeypatch):
+def test_count_paths_starts_no_thread():
+    # N_14 at n = 400, the largest count of the words benchmark
     g = build_multi([3**14 + 1])
-    assert g.edge_count * 50 < automaton.SPLIT_HALVES_EDGE_STEPS <= g.edge_count * 400
-    calls = _record_limb_threads(monkeypatch)
-    me = threading.current_thread()
-    with patch.object(automaton, "usable_cpus", lambda: 1):
-        serial = count_paths(g, 400)
-    assert calls == [(me, True), (me, False)]
-    del calls[:]
+    want = _count_paths_loop(g, 400)
     before = threading.active_count()
-    with patch.object(automaton, "usable_cpus", lambda: 2):
-        assert count_paths(g, 400) == serial
-        # the forward half in the worker, the backward one here
-        assert sorted((forward, t is me) for t, forward in calls) == [(False, True), (True, False)]
-        del calls[:]
-        count_paths(g, 50)  # below the crossover: both halves here
-        assert calls == [(me, True), (me, False)]
+    with patch.object(threading.Thread, "start", side_effect=AssertionError("thread started")):
+        assert count_paths(g, 400) == want
     assert threading.active_count() == before
 
 
-def test_count_paths_stays_serial_on_one_cpu(monkeypatch):
-    g = build_multi([3**7 + 1])
-    want = _count_paths_loop(g, 300)
-    calls = _record_limb_threads(monkeypatch)
-    before = threading.active_count()
-    with patch.object(automaton, "SPLIT_HALVES_EDGE_STEPS", 0), \
-            patch.object(automaton, "usable_cpus", lambda: 1), \
-            patch.object(threading.Thread, "start", side_effect=AssertionError("thread started")):
-        assert count_paths(g, 300) == want
-    me = threading.current_thread()
-    assert calls == [(me, True), (me, False)]
-    assert threading.active_count() == before
-
-
-def test_count_paths_raises_the_forward_half_failure(monkeypatch):
-    class ForwardFailed(Exception):
-        pass
-
-    g, limb_steps = build_multi([3**7 + 1]), automaton._limb_steps
-
-    def failing(rows, cols, X, k):
-        if int(X.sum()) == 1:  # the forward half starts from e_start
-            raise ForwardFailed(threading.current_thread().name)
-        return limb_steps(rows, cols, X, k)
-
-    monkeypatch.setattr(automaton, "_limb_steps", failing)
-    before = threading.active_count()
-    with _split_forced(), pytest.raises(ForwardFailed) as failure:
-        count_paths(g, 300)
-    assert failure.value.args[0] != threading.current_thread().name
-    assert threading.active_count() == before
-
-
-def test_count_paths_loads_the_kernels_once_before_the_split(monkeypatch):
-    events, load, limb_steps = [], automaton._load_sparse_kernels, automaton._limb_steps
+def test_sparse_kernels_load_once_under_concurrent_callers(monkeypatch):
+    loads, load = [], automaton._load_sparse_kernels
 
     def counted():
-        events.append(("load", threading.current_thread()))
-        time.sleep(0.05)  # time for the other half to ask for the kernels too
+        loads.append(threading.current_thread())
+        time.sleep(0.05)  # time for the other callers to ask for the kernels too
         return load()
-
-    def recorded(rows, cols, X, k):
-        events.append(("half", threading.current_thread()))
-        return limb_steps(rows, cols, X, k)
 
     monkeypatch.setattr(automaton, "_SPARSE_KERNELS", None)
     monkeypatch.setattr(automaton, "_load_sparse_kernels", counted)
-    monkeypatch.setattr(automaton, "_limb_steps", recorded)
-    g = build_multi([3**7 + 1])
-    with _split_forced():
-        assert count_paths(g, 300) == _count_paths_loop(g, 300)
-    me = threading.current_thread()
-    # one load, in this thread, before either half starts; the halves on two threads
-    assert events[0] == ("load", me)
-    assert sorted(kind for kind, _ in events) == ["half", "half", "load"]
-    assert {t is me for kind, t in events if kind == "half"} == {True, False}
+    got = []
+    barrier = threading.Barrier(4)
+
+    def caller():
+        barrier.wait()
+        got.append(automaton.sparse_kernels())
+
+    threads = [threading.Thread(target=caller) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert len(loads) == 1 and len(got) == 4
+    assert all(kernels is got[0] for kernels in got)
 
 
-def test_split_halves_under_concurrent_callers():
-    # four callers, each with its own worker: eight threads on a shared
-    # graph, switched as often as the interpreter allows
+def test_count_paths_under_concurrent_callers():
+    # four callers on a shared graph, switched as often as the interpreter
+    # allows; each count must be the loop's
     g = build_multi([3**7 + 1])
     want = {n: _count_paths_loop(g, n) for n in (199, 200, 300)}
     results = [[] for _ in range(4)]
@@ -668,11 +590,10 @@ def test_split_halves_under_concurrent_callers():
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
-        with _split_forced():
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)

@@ -594,6 +594,29 @@ def test_scipy_and_multiprocessing_load_only_where_used():
     assert loaded["adjacency"] == ["scipy", "scipy.sparse"]
 
 
+_CHECKS_ON_FIRST_USE = """
+import sys
+import cantor3
+assert "cantor3.checks" not in sys.modules
+from cantor3 import build_multi, count_paths, parse_multiplier_list
+count_paths(build_multi(parse_multiplier_list("N:12")), 400)  # the limb kernel's largest words count
+assert not {"cantor3.checks", "concurrent.futures"} & sys.modules.keys()
+assert cantor3.run_check is sys.modules["cantor3.checks"].run_check
+assert cantor3.run_check("example-7").ok
+from cantor3 import CheckResult, run_suite
+assert run_suite is cantor3.checks.run_suite and CheckResult is cantor3.checks.CheckResult
+"""
+
+
+def test_import_cantor3_loads_checks_on_first_use():
+    # `import cantor3` and a count compile and run no acceptance code and
+    # start no thread pool; the suite's names still resolve from the package
+    proc = python("-c", _CHECKS_ON_FIRST_USE)
+    assert proc.returncode == 0, proc.stderr
+    proc = python("-c", "import cantor3; cantor3.no_such_name")
+    assert "AttributeError: module 'cantor3' has no attribute 'no_such_name'" in proc.stderr
+
+
 _KERNELS_THEN_SCIPY = """
 import sys
 from pathlib import Path

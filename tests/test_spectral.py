@@ -577,21 +577,26 @@ def _dense_squaring_reference(rows, cols, k, tol):
 
 
 def _power_iteration_reference(rows, cols, k, tol):
-    """spectral._power_iteration as it was, a fresh vector from every
-    product and quotient: the reference whose vector and step count it must
-    give bit for bit."""
-    indptr = np.zeros(k + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=k), out=indptr[1:])
-    indices = np.asarray(cols, dtype=np.int32)[np.argsort(rows, kind="stable")]
-    A = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(k, k))
+    """spectral._power_iteration computed another way, a fresh vector from
+    every product and quotient and no sparse matrix: the reference whose
+    vector and step count it must give bit for bit. Each product starts
+    from c v and adds v[col] onto row `row` one edge at a time, in edge
+    order, which is the sum order of the fused product."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+
+    def shifted(v):
+        u = spectral.POWER_SHIFT * v
+        np.add.at(u, rows, v[cols])
+        return u
+
     v = np.ones(k)
     for step in range(0, spectral._MAX_POWER_ITERATIONS, spectral._POWER_ROUND):
-        u = A @ v + spectral.POWER_SHIFT * v
+        u = shifted(v)
         ratios = u / v
         if ratios.max() - ratios.min() <= tol:
             return v, step
         for _ in range(spectral._POWER_ROUND - 1):
-            u = A @ u + spectral.POWER_SHIFT * u
+            u = shifted(u)
         v = u / u.max()
     raise AssertionError("the reference did not converge")
 
