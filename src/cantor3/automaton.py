@@ -50,7 +50,7 @@ import os
 import threading
 from dataclasses import dataclass
 from math import prod
-from operator import itemgetter, mul
+from operator import itemgetter
 
 import numpy as np
 
@@ -312,12 +312,17 @@ class _CarrySearch:
 
     A carry vector (N_1, ..., N_r) is keyed by the mixed-radix integer
     sum N_j * stride_j with digit j in 0..M_j div 2, the carry itself for
-    one multiplier. Where a key or a carry plus its multiplier could pass
-    2^62 the keys are Python ints, and only the Python step runs. Every
-    vertex's children come in label order and the new keys of a level are
-    numbered in order of first occurrence, in the Python step and the
-    numpy steps alike. All write one store, the table rows and keys in
-    row_chunks and key_chunks, in vertex order.
+    one multiplier. Every vertex's children come in label order and the
+    new keys of a level are numbered in order of first occurrence, in the
+    Python step and the numpy steps alike. All write one store, the table
+    rows and keys in row_chunks and key_chunks, in vertex order.
+
+    A search is numeric when every key and every carry plus its
+    multiplier stay below 2^62: every multiplier and prod(1 + M_j div 2)
+    are below it. Otherwise it is a Python-int search: its keys are
+    Python ints, in the dict, the queue and key_chunks alike, and the
+    Python step runs every level, decoding each key once by a divmod
+    chain over the bases.
 
     The search alternates two kinds of step. python_levels steps a run of
     narrow levels in breadth-first order over a dict of keys: the first
@@ -338,15 +343,15 @@ class _CarrySearch:
         self.strides = [prod(self.bases[:j]) for j in range(len(values))]
         self.numeric = prod(self.bases) < _KEY_LIMIT and max(values) < _KEY_LIMIT
         self.lift = sum((M - 1) * s for M, s in zip(values, self.strides))  # key of (M_j - 1)
+        self.chain = tuple(zip(self.bases, self.strides))  # a key's decode, low digit first
         self.n = 1
         self.row_chunks, self.key_chunks = [], []  # the table and the keys, in vertex order
         self.sorted_keys = self.sorted_ids = None  # the numpy steps' index, while it lives
 
     def radix(self) -> list[np.ndarray]:
-        """values, strides and bases as arrays, made where several
-        multipliers' keys are decoded: one multiplier needs none."""
-        dtype = np.int64 if self.numeric else object
-        return [np.array(x, dtype=dtype) for x in (self.values, self.strides, self.bases)]
+        """values, strides and bases as int64 arrays, made where numpy decodes
+        several multipliers' keys: one multiplier needs none."""
+        return [np.array(x, dtype=np.int64) for x in (self.values, self.strides, self.bases)]
 
     def refuse(self):
         raise RefusalError(f"carry automaton for {self.what} exceeds {self.max_vertices} vertices")
@@ -361,32 +366,50 @@ class _CarrySearch:
         return _join(self.row_chunks), self.carries(_join(self.key_chunks))
 
     def carries(self, keys: np.ndarray) -> np.ndarray:
-        """The carry vectors of keys, an (n, r) matrix. One numeric
-        multiplier's keys are its carries: the stride is 1 and the base
-        passes every carry."""
-        if self.numeric and len(self.values) == 1:
+        """The carry vectors of keys, an (n, r) matrix. Python-int keys are
+        decoded by the divmod chain of the Python step, a column at a time,
+        and their carries are Python ints past int64, the int64/object rule
+        of _int_array. One multiplier's keys are its carries: the stride is
+        1 and the base passes every carry."""
+        if not self.numeric:
+            q, columns = keys.tolist(), []
+            for b in self.bases[:-1]:
+                columns.append([k % b for k in q])
+                q = [k // b for k in q]
+            columns.append(q)  # the last carry: below its base already
+            return _int_array(columns, len(q)).T.copy()
+        if len(self.values) == 1:
             return keys.reshape(-1, 1)
         _, strides, bases = self.radix()
         C = keys[:, None] // strides
         C %= bases  # in place: one (n, r) array at a time
-        return C if self.numeric else _int_array(C.tolist(), len(self.values))
+        return C
 
     def python_levels(self, level: list) -> list:
         """Step the levels narrower than NUMPY_LEVEL_WIDTH from `level`, the
         last len(level) vertices: the start's, or a numpy phase's last level.
-        Return the first wider level, or [].
+        Return the first wider level, or []; a search with Python-int keys
+        steps every level here.
 
         Each child, vertex by vertex in label order, is looked up in a dict
         of keys and numbered next when it is not there. After a numpy phase
         each level first puts into the dict its children's entries in the
         phase's sorted index, one searchsorted a level; the index is let go
         when the step ends.
+
+        A key of several multipliers is decoded once, by divmod by each base
+        in turn, low digit first. With r_j = N_j mod 3 and R = sum r_j *
+        stride_j, label 0 (no r_j = 2) takes each N_j to (N_j - r_j) / 3,
+        so the key to (key - R) / 3, and label 1 (no r_j = 1) takes N_j to
+        (N_j + M_j - 1 + r_j / 2) / 3, M_j being 1 mod 3, so the key to
+        (key + lift + R / 2) / 3, lift the key of the vector (M_j - 1).
         """
         seen, seen_ids = self.sorted_keys, self.sorted_ids
         self.sorted_keys = self.sorted_ids = None
         index, rows, cap, n = {0: 0}, [], self.max_vertices, self.n
         width = NUMPY_LEVEL_WIDTH if self.numeric else math.inf
         M = self.values[0] if len(self.values) == 1 else None
+        chain, lift = self.chain, self.lift
         stored = len(level) if self.key_chunks else 0  # the first step stores the start key
         queue, end = level, 0  # the current level ends at queue[end]
         for i, key in enumerate(queue):  # the BFS queue: appended to while it is walked
@@ -402,11 +425,19 @@ class _CarrySearch:
                     # the index holds it, else another key's, true too, or the
                     # sentinel's, whose key is no carry vector's
                     index.update(zip(seen[pos].tolist(), seen_ids[pos].tolist()))
-            if M is not None:  # one multiplier, inline: a call per vertex costs about 15 %
+            if M is not None:  # one multiplier: the key is the carry
                 m = key % 3
                 kids = (key // 3 if m <= 1 else None, (key + M) // 3 if m != 1 else None)
-            else:
-                kids = self.kids(key)
+            else:  # decode each carry once; R is the key of the residues
+                q, R, has = key, 0, 0  # bit 0 of has: some residue 1; bit 1: some 2
+                for b, s in chain:
+                    q, N = divmod(q, b)
+                    r = N % 3
+                    if r:
+                        R += r * s
+                        has |= r
+                kids = (None if has & 2 else (key - R) // 3,
+                        None if has & 1 else (key + lift + R // 2) // 3)
             for c in kids:
                 if c is None:
                     rows.append(-1)
@@ -424,17 +455,6 @@ class _CarrySearch:
         self.row_chunks.append(np.array(rows, dtype=np.int32).reshape(-1, 3))
         self.key_chunks.append(np.array(queue[stored:], dtype=np.int64 if self.numeric else object))
         return queue[end:]
-
-    def kids(self, key) -> tuple:
-        """The keys reached from carry vector `key` by labels 0 and 1, None where not admissible.
-
-        With r_j = N_j mod 3, label 0 (no r_j = 2) takes N_j to (N_j - r_j) / 3 and
-        label 1 (no r_j = 1) to (N_j + M_j - 1 + r_j / 2) / 3, M_j being 1 mod 3.
-        """
-        rems = [key // s % b % 3 for s, b in zip(self.strides, self.bases)]
-        R = sum(map(mul, rems, self.strides))
-        return (None if 2 in rems else (key - R) // 3,
-                None if 1 in rems else (key + self.lift + R // 2) // 3)
 
     def candidates(self, keys: np.ndarray) -> np.ndarray:
         """The keys reached from `keys` by labels 0 and 1, admissible or not:
@@ -468,9 +488,9 @@ class _CarrySearch:
         table cell of each; cell[i] is the label-0 cell of keys[i].
 
         One multiplier's key is its carry N, stepped in 1-D by the
-        arithmetic of kids: with R = N mod 3, label 0 gives (N - R) / 3 =
-        N div 3 where R <= 1 and label 1 gives (N + M - 1 + R / 2) / 3 =
-        (N + M) div 3 where R != 1. Each label's children ascend with N,
+        arithmetic of the Python step: with R = N mod 3, label 0 gives
+        (N - R) / 3 = N div 3 where R <= 1 and label 1 gives
+        (N + M - 1 + R / 2) / 3 = (N + M) div 3 where R != 1. Each label's children ascend with N,
         and with N <= M div 2 every label-0 child is at most M div 6, below
         every label-1 child, at least M div 3: the label-0 run followed by
         the label-1 run is in key order already. Several multipliers decode

@@ -67,41 +67,45 @@ def checked_blocks(ms, n: int) -> tuple[int, ...]:
     return _values(ms)
 
 
-def _count(values, n: int, accept=None) -> int:
-    """Admissible words in {0,1}^n, extended level by level.
+def _count(values, n: int, accept=None) -> list[int]:
+    """Admissible words in {0,1}^k for every k = 0..n, extended level by level.
 
-    Each stack entry holds the admissible prefixes of one length as their
-    values x. Extending by digit b adds b * 3^pos; the entries whose new
-    product digit is 0 or 1 for every multiplier survive. A level narrower
-    than ARRAY_LEVEL_WIDTH is a list of Python ints, extended in plain
+    The admissible prefixes of one length are held as their values x.
+    Extending by digit b adds b * 3^pos; the prefixes whose new product
+    digit is 0 or 1 for every multiplier survive, and their number is the
+    count of their length. The levels narrower than ARRAY_LEVEL_WIDTH
+    come first, one list of Python ints a length, extended in plain
     integer arithmetic, since numpy's per-call cost outweighs its speed on
-    a few dozen prefixes; the first level that reaches the width becomes
-    an array, and its descendants stay arrays. Arrays longer than SLICE
-    are split before they are extended, so memory stays bounded for every
-    n. Multipliers are reduced mod 3^n first; int64 holds every product
-    when max(M mod 3^n) * 3^n fits, and Python-int object arrays keep the
-    rest exact. The width is the one measured in README "Block counts".
-    With accept given, only the words x (read to depth n, p3 = 3^n) for
-    which accept(x, p3) holds are counted.
+    a few dozen prefixes; the first level that reaches the width becomes an
+    array, and its descendants stay arrays, walked depth-first on a stack.
+    Arrays longer than SLICE are split before they are extended, so memory
+    stays bounded for every n, and the slices of a level add up to its
+    count. Multipliers are reduced mod 3^n first, which leaves every digit
+    below n as it is, so each shorter length is counted as its own call
+    would count it; int64 holds every product when max(M mod 3^n) * 3^n
+    fits, and Python-int object arrays keep the rest exact. The width is
+    the one measured in README "Block counts". With accept given, only the
+    words x of length n (read to depth n, p3 = 3^n) for which accept(x, p3)
+    holds are counted at length n.
     """
     mods = [M % 3 ** n for M in values]
     dtype = np.int64 if max(mods) * 3 ** n <= INT64_MAX else object
-    count = 0
-    stack = [(0, [0], 1)]
+    counts = [1] + [0] * n
+    x, pos, p3 = [0], 0, 1
+    while pos < n and len(x) < ARRAY_LEVEL_WIDTH:  # one list a length
+        x = x + [w + p3 for w in x]
+        for M in mods:
+            x = [w for w in x if (M * w // p3) % 3 <= 1]
+        pos, p3 = pos + 1, p3 * 3
+        counts[pos] = len(x)
+    stack = [(pos, x if pos == n else np.array(x, dtype=dtype), p3)]
     while stack:
         pos, x, p3 = stack.pop()
         if pos == n:
-            count += len(x) if accept is None else sum(
-                1 for w in (x if isinstance(x, list) else x.tolist()) if accept(w, p3))
+            if accept is not None:
+                counts[n] -= sum(1 for w in (x if isinstance(x, list) else x.tolist())
+                                 if not accept(w, p3))
             continue
-        if isinstance(x, list):
-            if len(x) < ARRAY_LEVEL_WIDTH:
-                x = x + [w + p3 for w in x]
-                for M in mods:
-                    x = [w for w in x if (M * w // p3) % 3 <= 1]
-                stack.append((pos + 1, x, p3 * 3))
-                continue
-            x = np.array(x, dtype=dtype)
         if len(x) > SLICE:
             stack.extend((pos, x[i:i + SLICE], p3) for i in range(0, len(x), SLICE))
             continue
@@ -109,8 +113,9 @@ def _count(values, n: int, accept=None) -> int:
         for M in mods:
             # digit pos of M*x is final; lower digits were already accepted
             x = x[(M * x // p3) % 3 <= 1]
+        counts[pos + 1] += len(x)
         stack.append((pos + 1, x, p3 * 3))
-    return count
+    return counts
 
 
 def brute_count(ms, n: int) -> int:
@@ -118,7 +123,12 @@ def brute_count(ms, n: int) -> int:
 
     n above DEFAULT_LIMIT is refused.
     """
-    return _count(checked_blocks(ms, n), n)
+    return _count(checked_blocks(ms, n), n)[n]
+
+
+def brute_counts(ms, n: int) -> tuple[int, ...]:
+    """brute_count(ms, k) for k = 1..n, from the one enumeration to length n."""
+    return tuple(_count(checked_blocks(ms, n), n)[1:])
 
 
 def brute_count_extendable(ms, n: int) -> int:
@@ -169,7 +179,7 @@ def brute_count_extendable(ms, n: int) -> int:
             known[carries] = continues(carries)
         return known[carries]
 
-    return _count(values, n, extendable)
+    return _count(values, n, extendable)[n]
 
 
 def first_return_counts(ms, max_len: int) -> tuple[int, ...]:

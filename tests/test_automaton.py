@@ -756,6 +756,17 @@ def test_refusal_comes_before_a_level_past_the_cap(monkeypatch):
     assert held == [(512, 512)]  # levels of 1, 1, 2, ..., 256 carries
 
 
+def test_python_int_search_refuses_at_the_cap():
+    # prod(1 + M div 2) of (2^36, 2^38) passes 2^62, so the Python step
+    # steps every level of the search on Python-int keys; it refuses at the
+    # cap with the message the vertex-by-vertex search has always given
+    ms = [2**36, 2**38]
+    assert not automaton._CarrySearch(ms, 50_000, "").numeric
+    with pytest.raises(RefusalError) as info:
+        build_multi(ms, max_vertices=50_000)
+    assert str(info.value) == "carry automaton for 68719476736,274877906944 exceeds 50000 vertices"
+
+
 # sha256 of repr((start, vertices, edges)) as the fold of label products
 # built them, before the carry-vector search replaced it; pure ints, so the
 # digests hold on every platform
@@ -858,6 +869,10 @@ def test_search_matches_the_closed_form_of_L_k():
 # L_42's carries pass int64 and are Python ints
 NEAR_THE_KEY_BOUND = [_L(39), _L(40), _L(41), _L(42), 3**5 + 1, _L(35), _L(36)]
 
+# multipliers above 2^62, whose searches all run on Python-int keys; the
+# L_k intersect in small graphs, and so do they with small multipliers
+ABOVE_THE_KEY_BOUND = st.integers(min_value=40, max_value=80).map(_L)
+
 # searches that enter the numpy steps more than once at these gates
 SWITCHING_BACK = [([733], 4), ([2**16], 16)]
 
@@ -894,7 +909,8 @@ def _level_case(search, n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.one_of(_residue_1(3**6), st.sampled_from(NEAR_THE_KEY_BOUND)),
+@given(st.lists(st.one_of(_residue_1(3**6), st.sampled_from(NEAR_THE_KEY_BOUND),
+                          ABOVE_THE_KEY_BOUND),
                 min_size=1, max_size=3),
        st.sampled_from([1, 4, 32, NUMPY_LEVEL_WIDTH]))
 @example([3**8 + 1], NUMPY_LEVEL_WIDTH)  # one level of 128, one of 256
@@ -913,6 +929,9 @@ def _level_case(search, n):
 @example([3**7 + 1], 1)  # one multiplier: every level from the start's in numpy
 @example([2**12], 4)
 @example([_L(39)], 1)  # one multiplier with keys near 2^62
+@example([_L(35), _L(40)], NUMPY_LEVEL_WIDTH)  # two multipliers, Python-int keys
+@example([_L(39), _L(40)], NUMPY_LEVEL_WIDTH)
+@example([7, 19, _L(45)], NUMPY_LEVEL_WIDTH)  # three, one of them past int64's carries
 def test_search_matches_direct_construction(ms, width):
     cases = set()
     searches = []

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from cantor3.checks import SUITES
 from cantor3.cli import CSV_HEADER, main
 from cantor3.errors import RefusalError
 
@@ -169,6 +170,28 @@ def test_max_vertices_must_be_positive(capsys, value):
     code, out, err = run(capsys, "dim", "7", "--max-vertices", value)
     assert code == 1 and out == ""
     assert f"--max-vertices: expected a positive integer, got '{value}'" in err
+
+
+def test_blocks_enumerates_once(monkeypatch, capsys):
+    # every length comes from the one enumeration to --n; --extendable
+    # counts each length on its own
+    import cantor3.oracle as oracle
+
+    lengths = []
+    count = oracle._count
+
+    def spy(values, n, *rest):
+        lengths.append(n)
+        return count(values, n, *rest)
+
+    monkeypatch.setattr(oracle, "_count", spy)
+    code, out, _ = run(capsys, "blocks", "730", "--n", "18")
+    assert code == 0 and lengths == [18]
+    want = [f"n={n} blocks={oracle._count((730,), n)[n]}" for n in range(1, 19)]
+    assert out.splitlines() == want
+    lengths.clear()
+    code, out, _ = run(capsys, "blocks", "730", "--n", "6", "--extendable")
+    assert code == 0 and lengths == [1, 2, 3, 4, 5, 6]
 
 
 def test_blocks_output(capsys):
@@ -442,7 +465,28 @@ def test_check_suites(capsys):
     assert code == 0
     assert out.splitlines()[0].startswith("PASS Y-containment")
     assert out.splitlines()[-1] == "1 passed, 0 failed"
-    assert run(capsys, "check", "nosuch")[0] == 1
+    names = sorted(SUITES)
+    code, out, err = run(capsys, "check", "nosuch")
+    assert (code, out) == (1, "")
+    assert err == f"error: unknown suite 'nosuch', expected one of {names}\n"
+    # the help spells the names out, so that parsing does not import the suite
+    code, out, _ = run(capsys, "check", "--help")
+    assert code == 0 and f"one of {', '.join(names)}\n" in out
+
+
+_CLI_WITHOUT_CHECKS = """
+import contextlib, io, sys
+from cantor3.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["dim", "7"]) == 0
+assert "cantor3.checks" not in sys.modules
+"""
+
+
+def test_only_check_loads_the_suite():
+    # the command line imports the acceptance suite in `check` alone
+    proc = python("-c", _CLI_WITHOUT_CHECKS)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_check_oracle_suite(capsys):

@@ -227,6 +227,21 @@ def test_count_across_the_array_width(monkeypatch, width):
 
 
 @_WIDTHS
+def test_counts_of_every_length_from_one_enumeration(monkeypatch, width):
+    monkeypatch.setattr(oracle, "ARRAY_LEVEL_WIDTH", width)
+    monkeypatch.setattr(oracle, "SLICE", 8)
+    # each length k as its own call counts it, with M mod 3^k and the dtype
+    # that k picks; [2**40] to 22 is object dtype, its short calls int64
+    for ms, n in (([7], 14), ([730], 12), ([7, 19], 13), ([5], 9), ([7, 11], 9),
+                  ([2**40], 22), ([1], 12)):
+        counts = oracle.brute_counts(ms, n)
+        assert all(type(c) is int for c in counts)
+        assert counts == tuple(brute_count(ms, k) for k in range(1, n + 1)), (ms, n)
+        assert counts == tuple(_count_reference(ms, k) for k in range(1, n + 1)), (ms, n)
+    assert oracle.brute_counts([7], 0) == ()
+
+
+@_WIDTHS
 def test_extendable_across_the_array_width(monkeypatch, width):
     monkeypatch.setattr(oracle, "ARRAY_LEVEL_WIDTH", width)
     monkeypatch.setattr(oracle, "SLICE", 8)
